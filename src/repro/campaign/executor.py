@@ -8,8 +8,8 @@ order they finished.
 
 This module is the *planning* layer of a three-layer split:
 
-* :mod:`repro.campaign.sched` — the pure scheduler core: chunk
-  leasing, lease epochs/expiry, batch-unit grouping, result folding.
+* :mod:`repro.campaign.sched` — the pure scheduler core: fleet-sized
+  unit planning, leasing, lease epochs/expiry, result folding.
 * :mod:`repro.campaign.transport` — pluggable transports carrying
   chunks to evaluators: the forked local
   :class:`~repro.campaign.pool.WorkerPool`
@@ -38,23 +38,15 @@ import warnings
 from dataclasses import dataclass, field
 
 from repro.campaign.results import ResultStore, aggregate
-# Re-exported for compatibility: these lived here before the
-# sched/transport split, and tests, benches, and the service still
-# import them from the executor.
-from repro.campaign.pool import WorkerPool  # noqa: F401
-from repro.campaign.sched import batch_units as _batch_units  # noqa: F401
-from repro.campaign.work import (CampaignAborted,  # noqa: F401
-                                 PointTimeout, evaluate_units)
+from repro.campaign.sched import batch_units
+from repro.campaign.work import CampaignAborted, PointTimeout, evaluate_units
 from repro.obs.events import event_log
 from repro.obs.metrics import get_registry
-
-_evaluate_units = evaluate_units  # pre-split private name
 
 __all__ = [
     "CampaignAborted",
     "CampaignResult",
     "PointTimeout",
-    "WorkerPool",
     "default_jobs",
     "resolve_batch_lanes",
     "run_campaign",
@@ -102,7 +94,7 @@ def default_jobs(jobs=None):
 
 
 def resolve_batch_lanes(batch=None):
-    """Resolve a batch width: explicit > ``$REPRO_BATCH`` > auto.
+    """Resolve the batch width cap: explicit > ``$REPRO_BATCH`` > auto.
 
     ``"auto"`` (or nothing) picks the kernel's default lane count when
     the batched kernel can run in this process (numpy importable,
@@ -169,9 +161,11 @@ def run_campaign(spec, jobs=None, store=None, resume_from=None,
         finishes only the remainder — this is how ``repro serve``
         implements cancel, pause, and graceful shutdown.
     ``batch``
-        Lockstep batch width for compatible inject points: an int,
-        ``"auto"`` (kernel default when available — this is also the
-        default), or ``1`` to force scalar evaluation.  Rows are
+        Lockstep batch width *cap* for compatible inject points: an
+        int, ``"auto"`` (kernel default when available — this is also
+        the default), or ``1`` to force scalar evaluation.  Units are
+        sized to the fleet under that cap (see
+        :func:`~repro.campaign.sched.batch_units`).  Rows are
         bit-identical either way; batching only changes throughput.
     """
     from repro.campaign.transport import ExecutionPlan, LocalPoolTransport
@@ -244,9 +238,10 @@ def run_campaign(spec, jobs=None, store=None, resume_from=None,
                 collected[result.index] = result
                 on_result(result)
 
-            evaluate_units(pending, batch_lanes, spec.name,
-                           point_timeout_s, worker_id=0, emit=emit,
-                           on_batch=on_batch, abort=abort)
+            evaluate_units(batch_units(pending, batch_lanes,
+                                       chunk_size=chunk_size),
+                           spec.name, point_timeout_s, worker_id=0,
+                           emit=emit, on_batch=on_batch, abort=abort)
         else:
             collected = LocalPoolTransport(jobs=jobs).execute(plan)
     except CampaignAborted as exc:

@@ -25,11 +25,12 @@ Two ways to drive it:
   out, so local shards and remote runners steal from one queue.
 
 Queue protocol: a task item is ``(pool_epoch, chunk_id, lease_epoch,
-campaign_name, timeout_s, batch_lanes, [(index, point_dict), ...])``;
-a result item is ``(pool_epoch, chunk_id, lease_epoch, row)``.  The
-pool epoch tags each row with the :meth:`run`/:meth:`start_epoch` call
-that submitted it (abandoned-run leftovers are dropped at
-:meth:`poll`); the lease epoch is the scheduler's staleness filter.
+campaign_name, timeout_s, [(index, point_dict), ...])`` — one planned
+unit, evaluated as-is; a result item is ``(pool_epoch, chunk_id,
+lease_epoch, row)``.  The pool epoch tags each row with the
+:meth:`run`/:meth:`start_epoch` call that submitted it (abandoned-run
+leftovers are dropped at :meth:`poll`); the lease epoch is the
+scheduler's staleness filter.
 """
 
 import multiprocessing
@@ -66,14 +67,13 @@ def _pool_worker(worker_id, task_queue, result_queue, warm):
         item = task_queue.get()
         if item is None:
             break
-        (epoch, chunk_id, lease_epoch, campaign_name, timeout_s,
-         batch_lanes, chunk) = item
+        epoch, chunk_id, lease_epoch, campaign_name, timeout_s, chunk = item
         log.emit("chunk_lease", worker=worker_id, epoch=epoch,
                  campaign=campaign_name, points=len(chunk))
         pairs = [(index, CampaignPoint.from_dict(point_dict))
                  for index, point_dict in chunk]
         evaluate_units(
-            pairs, batch_lanes, campaign_name, timeout_s, worker_id,
+            [pairs], campaign_name, timeout_s, worker_id,
             emit=lambda result: result_queue.put(
                 (epoch, chunk_id, lease_epoch, result.to_row())),
             on_batch=lambda stats: result_queue.put(
@@ -148,12 +148,12 @@ class WorkerPool:
         self._epoch += 1
         return self._epoch
 
-    def submit(self, campaign_name, chunk, timeout_s=None, batch_lanes=1):
+    def submit(self, campaign_name, chunk, timeout_s=None):
         """Queue one leased :class:`~repro.campaign.sched.Chunk` for
         whichever shard steals it first."""
         self._task_queue.put(
             (self._epoch, chunk.chunk_id, chunk.epoch, campaign_name,
-             timeout_s, batch_lanes,
+             timeout_s,
              [(index, point.to_dict()) for index, point in chunk.pairs]))
 
     def poll(self, timeout=0.2):
@@ -216,10 +216,11 @@ class WorkerPool:
         abandoned chunks drain through the epoch filter, so the next
         ``run`` on the same pool is unaffected.
 
-        ``batch_lanes > 1`` lets each shard run batch-compatible
-        inject points through the lockstep kernel
-        (:mod:`repro.perf.batch`); ``on_batch`` receives each batch's
-        occupancy/eviction stats dict when its chunk completes.
+        ``batch_lanes > 1`` caps the width of the lockstep units
+        (:mod:`repro.perf.batch`) batch-compatible inject points are
+        planned into, sized so every shard gets work; ``on_batch``
+        receives each batch's occupancy/eviction stats dict when its
+        chunk completes.
         """
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
@@ -232,8 +233,7 @@ class WorkerPool:
             chunk = sched.lease(owner="pool")
             if chunk is None:
                 break
-            self.submit(campaign_name, chunk, timeout_s=timeout_s,
-                        batch_lanes=batch_lanes)
+            self.submit(campaign_name, chunk, timeout_s=timeout_s)
 
         def deliver(deliverables):
             for kind, payload in deliverables:

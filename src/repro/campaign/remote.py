@@ -77,14 +77,12 @@ class Drive:
     appends, live status, and progress callbacks never race.
     """
 
-    def __init__(self, sched, campaign_name, timeout_s=None,
-                 batch_lanes=1):
+    def __init__(self, sched, campaign_name, timeout_s=None):
         self._sched = sched
         self._lock = threading.Lock()
         self._deliverables = []
         self.campaign_name = campaign_name
         self.timeout_s = timeout_s
-        self.batch_lanes = batch_lanes
 
     # -- leasing (any thread) ----------------------------------------------
 
@@ -93,7 +91,8 @@ class Drive:
             return self._sched.lease(owner, now=time.monotonic())
 
     def lease_payload(self, owner):
-        """Lease a chunk and serialize it for the wire (or ``None``)."""
+        """Lease a chunk and serialize it for the wire (or ``None``).
+        The points are one planned unit, evaluated as-is."""
         chunk = self.lease(owner)
         if chunk is None:
             return None
@@ -102,7 +101,6 @@ class Drive:
             "epoch": chunk.epoch,
             "campaign": self.campaign_name,
             "timeout_s": self.timeout_s,
-            "batch_lanes": self.batch_lanes,
             "points": [[index, point.to_dict()]
                        for index, point in chunk.pairs],
         }
@@ -659,13 +657,8 @@ def _evaluate_lease(channel, runner_id, worker_id, work,
     path is lock-serialized); it is joined before the final flush, so
     the main loop's synchronous calls never race a stray response.
     """
-    from repro.campaign.executor import resolve_batch_lanes
-
     pairs = [(index, CampaignPoint.from_dict(point_dict))
              for index, point_dict in work["points"]]
-    # The master names a width; this host clamps it to what its own
-    # kernel can actually run (rows are bit-identical either way).
-    lanes = resolve_batch_lanes(work.get("batch_lanes") or 1)
 
     def emit(result):
         channel.cast("runner_row", {
@@ -692,7 +685,7 @@ def _evaluate_lease(channel, runner_id, worker_id, work,
                                   name=f"runner-heartbeat-{runner_id}")
         beater.start()
     try:
-        evaluate_units(pairs, lanes, work["campaign"],
+        evaluate_units([pairs], work["campaign"],
                        work.get("timeout_s"), worker_id, emit=emit,
                        on_batch=on_batch)
     finally:

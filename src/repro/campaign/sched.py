@@ -11,10 +11,13 @@ function calls, and every transport (the forked local
 
 The model:
 
-* **Chunks.** Pending ``(index, point)`` pairs are cut into
-  work-stealing chunks (:func:`chunk_pending`) exactly as the classic
-  executor did; batch-compatible points inside a chunk group into
-  lockstep units (:func:`batch_units`) on the evaluating side.
+* **Units.**  Pending ``(index, point)`` pairs are planned into
+  evaluation units sized to the fleet (:func:`batch_units`): each
+  batch-compatible group is cut into equal-width lockstep units — the
+  smallest multiple of the source count that keeps every unit within
+  the batch cap — and unbatchable points into work-stealing chunks
+  (:func:`chunk_pending`).  One unit is one lease (a :class:`Chunk`),
+  and it travels to its evaluator as-is.
 * **Leases.** A chunk is handed out by :meth:`ChunkScheduler.lease`
   with a fresh *epoch* and (optionally) a wall-clock deadline.  Rows
   are only accepted back under the chunk's current epoch, so a chunk
@@ -56,6 +59,7 @@ __all__ = [
     "WORKER_DIED_ERROR",
     "batch_units",
     "chunk_pending",
+    "is_batch_unit",
 ]
 
 #: The error recorded for a point whose evaluator vanished for good.
@@ -63,51 +67,76 @@ WORKER_DIED_ERROR = ("WorkerDied: shard exited before reporting "
                      "this point")
 
 
-def chunk_pending(pending, chunk_size, sources, batch_lanes=1):
+def chunk_pending(pending, chunk_size, sources):
     """Cut pending ``(index, point)`` pairs into work-stealing chunks.
 
     Default size targets ~4 steals per work source: small enough to
     rebalance around stragglers, large enough to amortize dispatch
-    round-trips.  With batching on, a chunk must hold at least one
-    full batch — otherwise grouping (which never crosses chunk
-    boundaries) could only ever form fragments.
+    round-trips.
     """
     if chunk_size is None:
         chunk_size = max(1, len(pending) // (max(1, sources) * 4))
-    chunk_size = max(chunk_size, batch_lanes)
     return [pending[i:i + chunk_size]
             for i in range(0, len(pending), chunk_size)]
 
 
-def batch_units(pairs, lanes):
-    """Cut ``(index, point)`` pairs into evaluation units.
+def _split_even(pairs, count):
+    """``pairs`` as ``count`` contiguous runs whose widths differ by at
+    most one (the wider runs first)."""
+    width, extra = divmod(len(pairs), count)
+    runs, start = [], 0
+    for run in range(count):
+        end = start + width + (1 if run < extra else 0)
+        runs.append(pairs[start:end])
+        start = end
+    return runs
+
+
+def batch_units(pairs, lanes, sources=1, chunk_size=None):
+    """Plan ``(index, point)`` pairs into evaluation units — the lease
+    granule every transport hands out as-is.
 
     Batch-compatible points (equal
-    :func:`~repro.campaign.tasks.batch_group_key`) are grouped up to
-    ``lanes`` wide; unbatchable points and singleton groups run
-    scalar.  Units keep first-appearance order — results are reordered
-    by index at collection time, so unit order only affects store
-    append order (which resume already tolerates).
+    :func:`~repro.campaign.tasks.batch_group_key`) form one group per
+    key.  A group of ``g`` points is cut into the smallest multiple of
+    ``sources`` of equal-width units (widths differ by at most one)
+    whose width stays within the ``lanes`` cap — 32 points on 2
+    sources give 2x16, 100 points under a 32 cap give 4x25 — and a
+    group smaller than ``sources`` runs one point per unit, so every
+    source gets work.  Unbatchable points are chunked by
+    :func:`chunk_pending` (``chunk_size`` or ~4 steals per source).
+    Units keep first-appearance order — results are reordered by
+    index at collection time, so unit order only affects store append
+    order (which resume already tolerates).
     """
-    if lanes <= 1:
-        return [[pair] for pair in pairs]
-    units = []
-    open_groups = {}
+    sources = max(1, sources)
+    lanes = max(1, lanes)
+    scalar, groups = [], {}
     for pair in pairs:
         key = batch_group_key(pair[1])
         if key is None:
-            units.append([pair])
-            continue
-        group = open_groups.get(key)
-        if group is None or len(group) >= lanes:
-            group = open_groups[key] = []
-            units.append(group)
-        group.append(pair)
+            scalar.append(pair)
+        else:
+            groups.setdefault(key, []).append(pair)
+    units = chunk_pending(scalar, chunk_size, sources) if scalar else []
+    for group in groups.values():
+        needed = -(-len(group) // lanes)
+        count = min(len(group), sources * -(-needed // sources))
+        units.extend(_split_even(group, count))
+    position = {index: pos for pos, (index, _) in enumerate(pairs)}
+    units.sort(key=lambda unit: position[unit[0][0]])
     return units
 
 
+def is_batch_unit(unit):
+    """Whether a planned unit runs as one lockstep batch (more than one
+    point, all batch-compatible — :func:`batch_units` never mixes
+    keys) rather than point by point."""
+    return len(unit) > 1 and batch_group_key(unit[0][1]) is not None
+
+
 class Chunk:
-    """One leasable unit of campaign work (internal to the scheduler,
+    """One leased unit of campaign work (internal to the scheduler,
     exposed read-only to transports for wire conversion)."""
 
     __slots__ = ("chunk_id", "pairs", "epoch", "owner", "deadline",
@@ -136,16 +165,24 @@ class ChunkScheduler:
     connection threads leasing while the transport's main loop
     records) serialize access with their own lock.  Every method is a
     plain state transition on plain data.
+
+    The pending set is planned once, at construction, by
+    :func:`batch_units` for a fleet of ``sources`` with ``batch_lanes``
+    as the batch width cap; each planned unit becomes one chunk.
     """
 
     def __init__(self, pending, chunk_size=None, sources=1,
                  batch_lanes=1, lease_timeout_s=None):
         self.pending = list(pending)
         self.lease_timeout_s = lease_timeout_s
+        units = batch_units(self.pending, batch_lanes, sources, chunk_size)
         self.chunks = [Chunk(chunk_id, pairs)
-                       for chunk_id, pairs in enumerate(
-                           chunk_pending(self.pending, chunk_size,
-                                         sources, batch_lanes))]
+                       for chunk_id, pairs in enumerate(units)]
+        #: Points of the widest lockstep unit (1 when nothing batches):
+        #: the evaluation a lease deadline must outlast before any row
+        #: can renew it.
+        self.widest_unit = max((len(unit) for unit in units
+                                if is_batch_unit(unit)), default=1)
         self._queue = deque(chunk.chunk_id for chunk in self.chunks)
         self.collected = {}
         #: chunk_id -> Chunk currently out on lease.

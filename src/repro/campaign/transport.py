@@ -34,21 +34,21 @@ __all__ = ["ExecutionPlan", "LocalPoolTransport", "TcpRunnerTransport",
            "Transport", "effective_lease_timeout"]
 
 
-def effective_lease_timeout(lease_timeout_s, timeout_s, batch_lanes):
+def effective_lease_timeout(lease_timeout_s, timeout_s, widest_unit):
     """The lease deadline a campaign's chunks actually get.
 
     Renewals arrive per completed unit (rows) and per heartbeat, but
-    the deadline must still cover one evaluation unit's *legitimate*
-    budget: a batch group may run ``timeout_s`` per lane to its alarm
-    and then re-run the whole group through the scalar guard — up to
-    ``2 * timeout_s * lanes`` before its first row can land.  Without
-    this floor, a unit slower than the bare ``lease_timeout_s`` would
-    expire mid-evaluation every time it ran, and the campaign would
-    livelock re-leasing the same chunk forever.
+    the deadline must still cover the widest planned unit's
+    *legitimate* budget: a lockstep unit may run ``timeout_s`` per lane
+    to its alarm and then re-run the whole unit through the scalar
+    guard — up to ``2 * timeout_s * widest_unit`` before its first row
+    can land.  Without this floor, a unit slower than the bare
+    ``lease_timeout_s`` would expire mid-evaluation every time it ran,
+    and the campaign would livelock re-leasing the same chunk forever.
     """
     if lease_timeout_s is None or timeout_s is None:
         return lease_timeout_s
-    return lease_timeout_s + 2.0 * timeout_s * max(1, batch_lanes or 1)
+    return lease_timeout_s + 2.0 * timeout_s * widest_unit
 
 
 @dataclass
@@ -60,6 +60,7 @@ class ExecutionPlan:
     pending: list
     timeout_s: object = None
     chunk_size: object = None
+    #: Batch width cap for the planned lockstep units.
     batch_lanes: int = 1
     #: Called with each fresh :class:`PointResult` as it folds.
     on_result: object = None
@@ -147,11 +148,11 @@ class TcpRunnerTransport(Transport):
     immediately (connection death is detected by the hub); a
     wedged-but-connected runner's chunks requeue when their lease
     deadline lapses.  The effective deadline is ``lease_timeout_s``
-    plus one evaluation unit's legitimate budget (a batch group may
-    burn ``timeout_s`` per lane, then re-run scalar after a failure),
-    and it is renewed by rows, idle heartbeats, and the runner's
-    in-evaluation heartbeat thread — so only a runner that genuinely
-    stopped responding ever expires.  Either way the re-run is
+    plus the widest planned unit's legitimate budget (a lockstep unit
+    may burn ``timeout_s`` per lane, then re-run scalar after a
+    failure), and it is renewed by rows, idle heartbeats, and the
+    runner's in-evaluation heartbeat thread — so only a runner that
+    genuinely stopped responding ever expires.  Either way the re-run is
     bit-identical — rows are pure functions of point identity, and
     the bumped lease epoch blackholes any stragglers from the lost
     lease.
@@ -181,16 +182,16 @@ class TcpRunnerTransport(Transport):
         pool = self._local_pool
         if pool is not None and callable(pool):
             pool = pool()
+        # Units are sized to the fleet present now: every registered
+        # runner plus every local shard.
         sources = self.hub.active_count() + (pool.jobs if pool else 0)
         sched = ChunkScheduler(plan.pending, chunk_size=plan.chunk_size,
-                               sources=max(1, sources),
-                               batch_lanes=plan.batch_lanes,
-                               lease_timeout_s=effective_lease_timeout(
-                                   self.lease_timeout_s, plan.timeout_s,
-                                   plan.batch_lanes))
+                               sources=sources,
+                               batch_lanes=plan.batch_lanes)
+        sched.lease_timeout_s = effective_lease_timeout(
+            self.lease_timeout_s, plan.timeout_s, sched.widest_unit)
         drive = Drive(sched, campaign_name=plan.campaign_name,
-                      timeout_s=plan.timeout_s,
-                      batch_lanes=plan.batch_lanes)
+                      timeout_s=plan.timeout_s)
         self.hub.attach(drive)
         if pool is not None:
             pool.start_epoch()
@@ -276,14 +277,15 @@ class TcpRunnerTransport(Transport):
             pool.drain_survivors()
             draining = True
         if not draining:
+            # One lease per shard, no prefetch: units are sized to the
+            # whole fleet, so a spare local lease is a runner's share.
             in_flight = drive.leased_by("local")
-            while in_flight < pool.jobs + 1:
+            while in_flight < pool.jobs:
                 chunk = drive.lease("local")
                 if chunk is None:
                     break
                 pool.submit(plan.campaign_name, chunk,
-                            timeout_s=plan.timeout_s,
-                            batch_lanes=plan.batch_lanes)
+                            timeout_s=plan.timeout_s)
                 in_flight += 1
         polled = pool.poll(timeout=self.poll_s)
         while polled is not None:

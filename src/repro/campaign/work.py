@@ -152,28 +152,36 @@ def evaluate_batch_guarded(group, campaign_name, timeout_s, worker_id):
     return results, stats
 
 
-def evaluate_units(pairs, batch_lanes, campaign_name, timeout_s,
-                   worker_id, emit, on_batch=None, abort=None):
-    """Shared shard/serial loop: evaluate pairs unit by unit.
+def evaluate_units(units, campaign_name, timeout_s, worker_id, emit,
+                   on_batch=None, abort=None):
+    """Shared shard/runner/serial loop: evaluate planned units in order.
 
-    ``emit`` receives each finished :class:`PointResult`; ``on_batch``
-    each batch kernel stats dict.  ``abort`` (serial path only) is
-    polled between units; a true poll raises :class:`CampaignAborted`
-    with the count of points emitted so far.
+    ``units`` come from :func:`~repro.campaign.sched.batch_units`; each
+    runs as handed — a lockstep unit as one batch, any other point by
+    point.  ``emit`` receives each finished :class:`PointResult`;
+    ``on_batch`` each batch kernel stats dict.  ``abort`` (serial path
+    only) is polled before every batch and every scalar point; a true
+    poll raises :class:`CampaignAborted` with the count of points
+    emitted so far.
     """
-    from repro.campaign.sched import batch_units
+    from repro.campaign.sched import is_batch_unit
     emitted = 0
-    for unit in batch_units(pairs, batch_lanes):
+
+    def check_abort():
         if abort is not None and abort():
             raise CampaignAborted(
                 f"campaign {campaign_name!r} aborted with {emitted} "
                 f"points done", completed=emitted)
-        if len(unit) == 1:
-            index, point = unit[0]
-            emit(evaluate_guarded(point, index, campaign_name,
-                                  timeout_s, worker_id))
-            emitted += 1
+
+    for unit in units:
+        if not is_batch_unit(unit):
+            for index, point in unit:
+                check_abort()
+                emit(evaluate_guarded(point, index, campaign_name,
+                                      timeout_s, worker_id))
+                emitted += 1
             continue
+        check_abort()
         results, stats = evaluate_batch_guarded(
             unit, campaign_name, timeout_s, worker_id)
         if stats is not None and on_batch is not None:

@@ -1111,11 +1111,13 @@ def build_parser():
                                  help="append structured JSONL events here "
                                       "(sets $REPRO_EVENTS for all workers)")
     campaign_parser.add_argument("--batch", default=None,
-                                 help="lockstep batch width for compatible "
-                                      "inject points: N, 'auto' (the "
-                                      "default: kernel-chosen width), or 1 "
-                                      "to force scalar evaluation; rows "
-                                      "are bit-identical either way")
+                                 help="lockstep batch width cap for "
+                                      "compatible inject points (units "
+                                      "are sized to the fleet under it): "
+                                      "N, 'auto' (the default: "
+                                      "kernel-chosen cap), or 1 to force "
+                                      "scalar evaluation; rows are "
+                                      "bit-identical either way")
     campaign_parser.add_argument("--runners", default=None,
                                  metavar="[HOST:]PORT",
                                  help="accept remote 'repro runner' "

@@ -324,7 +324,10 @@ class LiveStatus:
                     "failed": shard["failed"],
                     "last_seen_s": now - shard["last_seen"],
                 }
-                for worker, shard in sorted(self._shards.items())
+                # Mixed fleets key shards by int and runners by name.
+                for worker, shard in sorted(
+                    self._shards.items(),
+                    key=lambda item: (type(item[0]).__name__, item[0]))
             },
         }
         if self._runners:

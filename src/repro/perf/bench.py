@@ -252,7 +252,8 @@ def _bench_campaign(workload, instructions, seed, jobs=2, campaigns=4,
     fork cost was a rounding error and the recorded speedup sat at
     parity, underselling the pool the service actually keeps.
     """
-    from repro.campaign.executor import WorkerPool, run_campaign
+    from repro.campaign.executor import run_campaign
+    from repro.campaign.pool import WorkerPool
     from repro.campaign.spec import CampaignPoint, CampaignSpec
 
     def specs():

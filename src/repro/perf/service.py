@@ -10,7 +10,7 @@ the figure drivers, the difftest harness and ``repro batch`` all share:
   compiling — and populating it — otherwise), so the first simulation
   of the process runs at warm-cache speed;
 * :meth:`ExecutionService.pool` owns a persistent
-  :class:`~repro.campaign.executor.WorkerPool`: forked once, workers
+  :class:`~repro.campaign.pool.WorkerPool`: forked once, workers
   pre-import and pre-warm, and every subsequent campaign streams its
   points over the existing queues instead of paying pool startup —
   back-to-back campaigns (a figure driver's sweeps, a difftest run, a
@@ -70,7 +70,8 @@ class ExecutionService:
         shard is alive; ``jobs <= 1`` returns ``None`` (serial
         execution needs no pool).
         """
-        from repro.campaign.executor import WorkerPool, default_jobs
+        from repro.campaign.executor import default_jobs
+        from repro.campaign.pool import WorkerPool
 
         jobs = default_jobs(jobs)
         if jobs <= 1:

@@ -5,7 +5,7 @@ pool, prime the steppers — and take its warm fleet to the grave with
 the CLI process.  This package keeps the fleet alive: ``repro serve``
 starts a **master** daemon that owns the process-wide
 :class:`~repro.perf.service.ExecutionService` (persistent pre-warmed
-:class:`~repro.campaign.executor.WorkerPool`, disk-cached steppers)
+:class:`~repro.campaign.pool.WorkerPool`, disk-cached steppers)
 and serves it to any number of submitters over a local Unix socket:
 
 * :mod:`repro.serve.protocol` — the line-delimited JSON RPC: strict

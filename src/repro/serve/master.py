@@ -3,7 +3,7 @@
 A :class:`Master` owns the process-wide
 :class:`~repro.perf.service.ExecutionService` — warm stepper caches
 and the persistent, pre-forked
-:class:`~repro.campaign.executor.WorkerPool` — and serves it to any
+:class:`~repro.campaign.pool.WorkerPool` — and serves it to any
 number of thin clients over a local Unix-domain socket speaking the
 line-JSON RPC of :mod:`repro.serve.protocol`.  Submitted campaigns
 flow through a persistent priority queue

@@ -149,7 +149,7 @@ class TestExecutor:
         campaigns, still bit-identical to serial — and the pool stays
         open between them (the executor must not close what it does
         not own)."""
-        from repro.campaign.executor import WorkerPool
+        from repro.campaign.pool import WorkerPool
 
         specs = [small_spec(workloads=("dedup",), seeds=(s, s + 1))
                  for s in range(3)]
@@ -164,7 +164,7 @@ class TestExecutor:
     def test_pool_single_pending_point_stays_serial(self):
         """A one-point campaign never pays pool streaming even when a
         pool is supplied (matches the jobs>1 serial short-circuit)."""
-        from repro.campaign.executor import WorkerPool
+        from repro.campaign.pool import WorkerPool
 
         spec = CampaignSpec(name="one", points=[
             CampaignPoint(task="test_echo", params={"value": 3})])
@@ -175,7 +175,7 @@ class TestExecutor:
         assert CALLS  # evaluated in-process, not in a shard
 
     def test_closed_pool_rejects_runs(self):
-        from repro.campaign.executor import WorkerPool
+        from repro.campaign.pool import WorkerPool
 
         pool = WorkerPool(2)
         pool.close()
@@ -283,6 +283,67 @@ class TestExecutor:
         result = run_campaign(spec, jobs=1)
         assert result.results[0].ok is False
         assert "no_such_task" in result.results[0].error
+
+
+def spread_specs():
+    """The fleet-spread drill: one batch-compatible group of 32 inject
+    trials, and twelve unbatchable meek points (workloads x cores x
+    fabric)."""
+    inject = CampaignSpec(name="spread-inject", points=[
+        CampaignPoint(task="inject", workload="dedup", instructions=SMALL,
+                      seed=0, params={"rate": 0.05, "trial": trial,
+                                      "rng_key": f"spread/{trial}"})
+        for trial in range(32)])
+    meek = CampaignSpec(name="spread-meek", points=[
+        CampaignPoint(task="meek", workload=workload,
+                      instructions=SMALL * 4, seed=0,
+                      params={"cores": cores, "fabric": fabric})
+        for workload in ("streamcluster", "gcc")
+        for cores in (2, 4, 8)
+        for fabric in ("f2", "axi")])
+    return {"inject32": inject, "meek12": meek}
+
+
+def store_run(spec, path, **kwargs):
+    """Run ``spec`` into a store with live status.  Returns the rows'
+    deterministic bytes per point id (bookkeeping excluded), the
+    ``coverage.json`` bytes (``None`` when absent), and the set of
+    workers that evaluated the points."""
+    import os
+
+    from repro.analysis.coverage import coverage_path_for
+    from repro.obs.live import attach_live
+
+    with ResultStore(path=str(path)) as store:
+        live = attach_live(spec, kwargs.get("jobs") or 1, store=store)
+        result = run_campaign(spec, store=store, live=live, **kwargs)
+    assert result.all_ok
+    loaded = ResultStore.load(str(path))
+    rows = {pid: json.dumps([r.ok, r.metrics, r.error], sort_keys=True)
+            for pid, r in loaded.items()}
+    coverage = coverage_path_for(str(path))
+    cov_bytes = None
+    if os.path.exists(coverage):
+        with open(coverage, "rb") as handle:
+            cov_bytes = handle.read()
+    return rows, cov_bytes, {r.worker for r in loaded.values()}
+
+
+class TestFleetSpread:
+    """Units are sized to the fleet, so a campaign smaller than the
+    default batch width still reaches every shard — with rows and
+    coverage.json unchanged from a serial scalar run."""
+
+    @pytest.mark.parametrize("name", ["inject32", "meek12"])
+    def test_pool_rows_spread_across_both_shards(self, tmp_path, name):
+        spec = spread_specs()[name]
+        ref_rows, ref_cov, _ = store_run(spec, tmp_path / "serial.jsonl",
+                                         jobs=1, batch=1)
+        rows, cov, workers = store_run(spec, tmp_path / "pool.jsonl",
+                                       jobs=2)
+        assert len(workers) >= 2, f"every row on one shard: {workers}"
+        assert rows == ref_rows
+        assert cov == ref_cov
 
 
 @pytest.mark.quick

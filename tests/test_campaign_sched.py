@@ -17,6 +17,7 @@ import pytest
 from repro.campaign import CampaignPoint
 from repro.campaign.sched import (WORKER_DIED_ERROR, ChunkScheduler,
                                   batch_units, chunk_pending)
+from repro.campaign.tasks import batch_group_key
 
 
 def make_pairs(n, task="meek", **params):
@@ -46,7 +47,7 @@ def drain_all(sched, owner="w", value=None):
     return deliverables
 
 
-# -- chunking and batch grouping -------------------------------------------
+# -- unit planning ---------------------------------------------------------
 
 @pytest.mark.quick
 def test_chunk_pending_default_targets_four_steals_per_source():
@@ -54,20 +55,6 @@ def test_chunk_pending_default_targets_four_steals_per_source():
     chunks = chunk_pending(pending, None, sources=4)
     assert [len(c) for c in chunks] == [5] * 16
     assert [pair for chunk in chunks for pair in chunk] == pending
-
-
-@pytest.mark.quick
-def test_chunk_pending_floors_at_batch_lanes():
-    pending = make_pairs(12)
-    chunks = chunk_pending(pending, None, sources=8, batch_lanes=8)
-    assert all(len(c) >= 8 for c in chunks[:-1])
-    assert sum(len(c) for c in chunks) == 12
-
-
-@pytest.mark.quick
-def test_chunk_pending_explicit_size_still_floors():
-    chunks = chunk_pending(make_pairs(10), 2, sources=1, batch_lanes=4)
-    assert [len(c) for c in chunks] == [4, 4, 2]
 
 
 def make_inject_pairs(n):
@@ -92,6 +79,55 @@ def test_batch_units_scalar_for_incompatible_or_lanes_one():
     assert [len(u) for u in batch_units(pairs, lanes=4)] == [1, 1, 1, 1]
     inject = make_inject_pairs(4)
     assert [len(u) for u in batch_units(inject, lanes=1)] == [1] * 4
+
+
+@pytest.mark.quick
+def test_unbatchable_points_chunk_without_a_batch_floor():
+    """Twelve meek points on two sources are twelve leases, not one
+    batch-width chunk that starves the second source."""
+    units = batch_units(make_pairs(12), lanes=32, sources=2)
+    assert [len(u) for u in units] == [1] * 12
+
+
+@pytest.mark.quick
+def test_batch_units_sized_to_the_fleet():
+    """Property: for random meek/inject mixes, group sizes, fleets and
+    caps, the plan covers every index once, never mixes batch keys,
+    and cuts each group into equal-width units — a multiple of the
+    source count, the fewest that fit under the cap.  (A cap of 1
+    leaves no choice: one point per unit, whatever the fleet.)"""
+    rng = random.Random(2024)
+    for _ in range(300):
+        points = [CampaignPoint(task="meek", workload="w",
+                                instructions=100, seed=i, params={})
+                  for i in range(rng.randint(0, 20))]
+        for group in range(rng.randint(1, 3)):
+            points += [CampaignPoint(task="inject", workload="w",
+                                     instructions=100, seed=group,
+                                     params={"rate": 0.01, "trial": t})
+                       for t in range(rng.randint(1, 130))]
+        rng.shuffle(points)
+        pairs = list(enumerate(points))
+        sources, cap = rng.randint(1, 8), rng.randint(1, 64)
+        units = batch_units(pairs, lanes=cap, sources=sources)
+        assert sorted(i for unit in units for i, _ in unit) == \
+            list(range(len(pairs)))
+        widths = {}
+        for unit in units:
+            keys = {batch_group_key(point) for _, point in unit}
+            assert len(keys) == 1, "a unit mixes batch keys"
+            widths.setdefault(keys.pop(), []).append(len(unit))
+        widths.pop(None, None)
+        for group in widths.values():
+            g = sum(group)
+            assert max(group) - min(group) <= 1
+            assert max(group) <= cap
+            if g >= sources and cap > 1:
+                assert len(group) % sources == 0
+                fewer = len(group) - sources
+                assert fewer == 0 or -(-g // fewer) > cap
+            if sources == 1 and g <= cap:
+                assert group == [g]
 
 
 # -- lease / fold happy path -----------------------------------------------
@@ -190,8 +226,8 @@ def test_no_deadline_without_timeout_or_clock():
 
 @pytest.mark.quick
 def test_batch_stats_delivered_only_when_chunk_completes():
-    pending = make_pairs(3, task="inject", rate=0.01)
-    sched = ChunkScheduler(pending, chunk_size=3)
+    pending = make_inject_pairs(3)
+    sched = ChunkScheduler(pending, batch_lanes=3)
     chunk = sched.lease("w")
     assert sched.record(chunk.chunk_id, chunk.epoch,
                         {"__batch__": {"lanes": 3}}) == []
@@ -207,8 +243,8 @@ def test_batch_stats_die_with_a_lost_lease():
     """A shard dying between its ``__batch__`` control row and the
     chunk's data rows must not leak phantom stats (the historical
     WorkerPool bookkeeping hole)."""
-    pending = make_pairs(3, task="inject", rate=0.01)
-    sched = ChunkScheduler(pending, chunk_size=3)
+    pending = make_inject_pairs(3)
+    sched = ChunkScheduler(pending, batch_lanes=3)
     chunk = sched.lease("dying")
     sched.record(chunk.chunk_id, chunk.epoch, {"__batch__": {"lanes": 3}})
     sched.release("dying")

@@ -227,6 +227,34 @@ class TestBenchTrend:
         assert "hmmer/meek/instrs_per_s" in out
         assert "+" in out or "-" in out  # the change column rendered
 
+    def test_trend_gate_fails_on_declining_history(self, tmp_path):
+        """The gate as CI runs it — a fresh ``python -m repro bench
+        --trend`` process — exits 1 on a sustained decline."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        from repro.perf.history import append_history
+
+        history = tmp_path / "declining.jsonl"
+        for speedup in (2.0, 1.8, 1.6, 1.4, 1.2):
+            append_history({"kernels": {"meek_speedup": speedup},
+                            "config": {"instructions": 20_000, "cores": 4}},
+                           path=str(history), sha="abc1234")
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (src_dir + os.pathsep + env["PYTHONPATH"]
+                             if env.get("PYTHONPATH") else src_dir)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "bench", "--trend",
+             "--history", str(history)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, timeout=120)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "DECLINING   : kernels/meek_speedup" in proc.stdout
+
 
 # -- the serve family: serve / submit / queue / cancel / watch-by-rid ------
 

@@ -17,8 +17,8 @@ import os
 
 import pytest
 
-from repro.campaign.executor import (_batch_units, resolve_batch_lanes,
-                                     run_campaign)
+from repro.campaign.executor import resolve_batch_lanes, run_campaign
+from repro.campaign.sched import batch_units
 from repro.campaign.spec import CampaignPoint, CampaignSpec
 from repro.campaign.tasks import (_PROGRAM_CACHE, batch_group_key,
                                   run_inject_batch, run_inject_point)
@@ -253,7 +253,7 @@ class TestGrouping:
         meek = CampaignPoint(task="meek", workload="dedup",
                              instructions=1_000, seed=0, params={})
         pairs = list(enumerate(inject + other_cfg + [meek]))
-        units = _batch_units(pairs, lanes=3)
+        units = batch_units(pairs, lanes=3)
         sizes = sorted(len(unit) for unit in units)
         # 5 compatible points at width 3 -> [3, 2]; the different
         # instruction count and the meek point stay scalar.

@@ -260,6 +260,74 @@ class TestBitIdentity:
             read_bytes(coverage_path_for(ref_path))
 
 
+# -- fleet spread -----------------------------------------------------------
+
+
+def meek12_spec(name="rem-meek12"):
+    """Twelve unbatchable meek points (workloads x cores x fabric)."""
+    return CampaignSpec(name=name, points=[
+        CampaignPoint(task="meek", workload=workload,
+                      instructions=SMALL * 4, seed=0,
+                      params={"cores": cores, "fabric": fabric})
+        for workload in ("streamcluster", "gcc")
+        for cores in (2, 4, 8)
+        for fabric in ("f2", "axi")])
+
+
+SPREAD_SPECS = {"inject32": lambda: inject_spec(name="rem-i32", trials=32),
+                "meek12": meek12_spec}
+
+
+class TestFleetSpread:
+    """Units are sized to the fleet present when the campaign starts,
+    so a 32-trial inject group or twelve meek points reach every
+    runner (and, mixed, the local shard too) — with rows and
+    coverage.json unchanged from a serial scalar run."""
+
+    @staticmethod
+    def reference(spec, tmp_path):
+        path, result = run_to_store(spec, tmp_path, "serial", batch=1)
+        assert result.all_ok
+        return path
+
+    @staticmethod
+    def assert_same(path, reference):
+        assert rows_of(path) == rows_of(reference)
+        cov, ref_cov = coverage_path_for(path), coverage_path_for(reference)
+        assert os.path.exists(cov) == os.path.exists(ref_cov)
+        if os.path.exists(ref_cov):
+            assert read_bytes(cov) == read_bytes(ref_cov)
+
+    @pytest.mark.parametrize("name", sorted(SPREAD_SPECS))
+    def test_two_tcp_runners_both_get_rows(self, tmp_path, name):
+        spec = SPREAD_SPECS[name]()
+        reference = self.reference(spec, tmp_path)
+        with thread_fleet(2) as (hub, _):
+            path, result = run_to_store(
+                spec, tmp_path, "remote",
+                transport=TcpRunnerTransport(hub, poll_s=0.01))
+        assert result.all_ok
+        assert workers_of(path) == {"t0", "t1"}
+        self.assert_same(path, reference)
+
+    @pytest.mark.parametrize("name", sorted(SPREAD_SPECS))
+    def test_mixed_shard_and_runner_both_get_rows(self, tmp_path, name):
+        spec = SPREAD_SPECS[name]()
+        reference = self.reference(spec, tmp_path)
+        with thread_fleet(1) as (hub, _):
+            pool = WorkerPool(1)
+            try:
+                path, result = run_to_store(
+                    spec, tmp_path, "mixed",
+                    transport=TcpRunnerTransport(hub, local_pool=pool,
+                                                 poll_s=0.01))
+            finally:
+                pool.close()
+        assert result.all_ok
+        assert workers_of(path) == {0, "t0"}
+        self.assert_same(path, reference)
+
+
 # -- lease renewal ----------------------------------------------------------
 
 
