@@ -1,4 +1,4 @@
-"""Campaign orchestration: plan a run, hand it to a transport.
+"""Campaign orchestration: plan a run, choose its sources, drive it.
 
 :func:`run_campaign` evaluates every point of a
 :class:`~repro.campaign.spec.CampaignSpec` and returns a
@@ -9,26 +9,27 @@ order they finished.
 This module is the *planning* layer of a three-layer split:
 
 * :mod:`repro.campaign.sched` — the pure scheduler core: fleet-sized
-  unit planning, leasing, lease epochs/expiry, result folding.
-* :mod:`repro.campaign.transport` — pluggable transports carrying
-  chunks to evaluators: the forked local
-  :class:`~repro.campaign.pool.WorkerPool`
-  (:class:`~repro.campaign.transport.LocalPoolTransport`) or remote
-  ``repro runner`` processes over TCP
-  (:class:`~repro.campaign.transport.TcpRunnerTransport`).
+  unit planning, leasing, lease epochs/expiry, the owner-loss rule,
+  result folding.
+* :mod:`repro.campaign.transport` — the one drive loop that runs the
+  scheduler over a campaign's sources and applies one loss policy to
+  all of them.
 * this module — resume realignment, store/live/progress fan-out,
-  result ordering, and the campaign-level events.
+  the choice of sources, result ordering, and the campaign-level
+  events.
 
-:func:`run_campaign` accepts an explicit ``transport``; without one
-it builds the classic local path from ``pool``/``jobs`` (an external
-persistent pool — usually owned by
-:class:`repro.perf.service.ExecutionService` — or an ephemeral one),
-and with ``jobs <= 1`` it evaluates inline, serially.
+The sources: with a :class:`~repro.campaign.remote.RunnerHub`, its
+runners, plus a pool's shards when there is a pool; otherwise a pool's
+shards; otherwise :class:`InlineSource`, which evaluates serially on
+the caller's thread.  The pool is an external persistent
+:class:`~repro.campaign.pool.WorkerPool` — usually owned by
+:class:`repro.perf.service.ExecutionService` — or, when ``jobs > 1``,
+an ephemeral one.
 
 Determinism: a point's metrics depend only on the point itself (see
-``spec.py``), so any transport — serial, local shards, remote
-runners, or a mixture — is bit-identical; only the bookkeeping fields
-(elapsed, worker id) differ.
+``spec.py``), so any fleet — serial, local shards, remote runners, or
+a mixture — is bit-identical; only the bookkeeping fields (elapsed,
+worker id) differ.
 """
 
 import os
@@ -38,7 +39,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from repro.campaign.results import ResultStore, aggregate
-from repro.campaign.sched import batch_units
+from repro.campaign.transport import ExecutionPlan, drive_campaign
 from repro.campaign.work import CampaignAborted, PointTimeout, evaluate_units
 from repro.obs.events import event_log
 from repro.obs.metrics import get_registry
@@ -46,6 +47,7 @@ from repro.obs.metrics import get_registry
 __all__ = [
     "CampaignAborted",
     "CampaignResult",
+    "InlineSource",
     "PointTimeout",
     "default_jobs",
     "resolve_batch_lanes",
@@ -112,10 +114,35 @@ def resolve_batch_lanes(batch=None):
     return lanes if lanes == 1 or batch_available() else 1
 
 
+class InlineSource:
+    """The serial source: one worker, evaluating each leased unit on
+    the drive loop's own thread.  Rows are delivered the moment they
+    fold, and ``abort`` is polled before every point, as in any serial
+    loop."""
+
+    jobs = 1
+
+    def pump(self, drive, plan, timeout):
+        chunk = drive.lease(("inline", 0))
+        if chunk is None:
+            return
+
+        def emit(result):
+            drive.record(chunk.chunk_id, chunk.epoch, result.to_row())
+            plan.deliver(drive.drain())
+
+        evaluate_units([chunk.pairs], plan.campaign_name, plan.timeout_s,
+                       worker_id=0, emit=emit,
+                       on_batch=lambda stats: drive.record(
+                           chunk.chunk_id, chunk.epoch,
+                           {"__batch__": stats}),
+                       abort=plan.abort)
+
+
 def run_campaign(spec, jobs=None, store=None, resume_from=None,
                  progress=None, chunk_size=None, point_timeout_s=None,
                  pool=None, live=None, abort=None, batch=None,
-                 transport=None):
+                 hub=None):
     """Execute ``spec`` and return a :class:`CampaignResult`.
 
     ``jobs``
@@ -130,12 +157,11 @@ def run_campaign(spec, jobs=None, store=None, resume_from=None,
         overrides ``jobs`` and the campaign streams through its
         already-warm shards.  The caller keeps ownership — the pool
         stays open for the next campaign.
-    ``transport``
-        An explicit :class:`~repro.campaign.transport.Transport`
-        (overrides ``pool`` and ``jobs``): this is how distributed
-        campaigns run —
-        :class:`~repro.campaign.transport.TcpRunnerTransport` carries
-        the same pending pairs to remote runners, bit-identically.
+    ``hub``
+        A :class:`~repro.campaign.remote.RunnerHub`: its registered
+        ``repro runner`` processes join the fleet (alongside the
+        pool's shards, if any, instead of the inline source), carrying
+        the same pending pairs bit-identically.
     ``store``
         Optional :class:`ResultStore`; every result is appended as it
         completes.
@@ -168,8 +194,6 @@ def run_campaign(spec, jobs=None, store=None, resume_from=None,
         :func:`~repro.campaign.sched.batch_units`).  Rows are
         bit-identical either way; batching only changes throughput.
     """
-    from repro.campaign.transport import ExecutionPlan, LocalPoolTransport
-
     spec.validate()
     jobs = default_jobs(jobs)
     batch_lanes = resolve_batch_lanes(batch)
@@ -217,33 +241,26 @@ def run_campaign(spec, jobs=None, store=None, resume_from=None,
         campaign_name=spec.name, pending=pending,
         timeout_s=point_timeout_s, chunk_size=chunk_size,
         batch_lanes=batch_lanes, on_result=on_result,
-        on_batch=on_batch, abort=abort, live=live, jobs=jobs)
+        on_batch=on_batch, abort=abort, live=live)
     start = time.monotonic()
+    owned = None
+    collected = {}
     try:
-        # A pool *factory* is invoked only once more than one point is
-        # known to be pending (and no explicit transport supersedes
-        # it); returning None means "run serial".
-        if (transport is None and pool is not None
-                and len(pending) > 1 and callable(pool)):
-            pool = pool()
-        if transport is not None and len(pending) > 0:
-            collected = transport.execute(plan)
-        elif (pool is not None and not callable(pool)
-                and len(pending) > 1):
-            collected = LocalPoolTransport(pool=pool).execute(plan)
-        elif jobs <= 1 or len(pending) <= 1:
-            collected = {}
-
-            def emit(result):
-                collected[result.index] = result
-                on_result(result)
-
-            evaluate_units(batch_units(pending, batch_lanes,
-                                       chunk_size=chunk_size),
-                           spec.name, point_timeout_s, worker_id=0,
-                           emit=emit, on_batch=on_batch, abort=abort)
-        else:
-            collected = LocalPoolTransport(jobs=jobs).execute(plan)
+        local = []
+        if len(pending) > 1:
+            # A pool *factory* is invoked only once more than one point
+            # is pending; returning None means no local shards.
+            pool = pool() if callable(pool) else pool
+            if pool is None and jobs > 1:
+                from repro.campaign.pool import WorkerPool
+                pool = owned = WorkerPool(min(jobs, len(pending)))
+            if pool is not None:
+                pool.start_epoch()
+                local.append(pool)
+        if hub is None and not local:
+            local.append(InlineSource())
+        if pending:
+            collected = drive_campaign(plan, local, hub)
     except CampaignAborted as exc:
         log.emit("campaign_abort", campaign=spec.name,
                  completed=exc.completed, pending=len(pending),
@@ -251,6 +268,9 @@ def run_campaign(spec, jobs=None, store=None, resume_from=None,
         if live is not None:
             live.aborted()
         raise
+    finally:
+        if owned is not None:
+            owned.close()
 
     collected.update(done)
     results = [collected[i] for i in range(len(spec.points))]

@@ -16,12 +16,13 @@ register/heartbeat/restart pattern, adapted to work-stealing):
   host:port.  **Security note: the listener does no authentication —
   bind it only on interfaces you trust (loopback or a private
   cluster network).**  Runner loss is detected the moment the
-  connection drops; the hub releases its leases for immediate
-  requeue.
+  connection drops; the hub releases its leases, which requeue to
+  the surviving sources (or fail, for a unit on its second lost
+  owner — the one loss policy of :mod:`repro.campaign.transport`).
 * :func:`run_runner` — the ``repro runner --connect`` client loop:
   connect, register, lease chunks, evaluate them with the same
   :func:`~repro.campaign.work.evaluate_units` loop every other
-  transport uses, and stream the result rows back (pipelined, one
+  source uses, and stream the result rows back (pipelined, one
   response drain per chunk).  Reconnects with backoff when the master
   goes away, so a restarted master gets its fleet back without anyone
   touching the runner hosts.
@@ -68,13 +69,14 @@ def parse_address(address):
 
 
 class Drive:
-    """Thread-safe shim between connection threads and the scheduler.
+    """Thread-safe shim between the sources and the scheduler.
 
-    Owned by :class:`~repro.campaign.transport.TcpRunnerTransport` for
-    the duration of one campaign.  Connection threads lease and record
-    under the lock; deliverables queue up and are drained — and their
-    callbacks run — only on the transport's main loop, so store
-    appends, live status, and progress callbacks never race.
+    Owned by :func:`~repro.campaign.transport.drive_campaign` for the
+    duration of one campaign.  Local sources and runner connection
+    threads lease, record and release under the lock; deliverables
+    queue up and are drained — and their callbacks run — only on the
+    drive loop, so store appends, live status, and progress callbacks
+    never race.
     """
 
     def __init__(self, sched, campaign_name, timeout_s=None):
@@ -86,14 +88,17 @@ class Drive:
 
     # -- leasing (any thread) ----------------------------------------------
 
-    def lease(self, owner):
+    def lease(self, owner, now=None):
+        """Lease the next unit to ``owner``; a deadline is armed only
+        when ``now`` is given (remote leases)."""
         with self._lock:
-            return self._sched.lease(owner, now=time.monotonic())
+            return self._sched.lease(owner, now=now)
 
     def lease_payload(self, owner):
-        """Lease a chunk and serialize it for the wire (or ``None``).
-        The points are one planned unit, evaluated as-is."""
-        chunk = self.lease(owner)
+        """Lease a chunk with a deadline and serialize it for the wire
+        (or ``None``).  The points are one planned unit, evaluated
+        as-is."""
+        chunk = self.lease(owner, now=time.monotonic())
         if chunk is None:
             return None
         return {
@@ -111,8 +116,12 @@ class Drive:
                 self._sched.record(chunk_id, epoch, row))
 
     def release(self, owner):
+        """Release a lost owner's leases; returns the requeued chunks
+        (failed tails are queued as deliverables)."""
         with self._lock:
-            return self._sched.release(owner)
+            requeued, failed = self._sched.release(owner)
+            self._deliverables.extend(failed)
+        return requeued
 
     def renew(self, owner):
         with self._lock:
@@ -122,12 +131,7 @@ class Drive:
         with self._lock:
             return self._sched.expire(now)
 
-    def leased_by(self, owner):
-        with self._lock:
-            return sum(1 for chunk in self._sched.leased.values()
-                       if chunk.owner == owner)
-
-    # -- folding (transport main loop) -------------------------------------
+    # -- folding (drive loop) ----------------------------------------------
 
     def drain(self):
         with self._lock:
@@ -175,15 +179,21 @@ class _Runner:
 
 
 class RunnerHub:
-    """Registry of remote runners + the campaign drive they feed."""
+    """Registry of remote runners + the campaign drive they feed.
 
-    def __init__(self):
+    ``lease_timeout_s`` is the base deadline of a runner lease (see
+    :func:`~repro.campaign.transport.effective_lease_timeout`); rows
+    and heartbeats renew it.
+    """
+
+    def __init__(self, lease_timeout_s=60.0):
+        self.lease_timeout_s = lease_timeout_s
         self._lock = threading.Lock()
         self._runners = {}
         self._next_id = 1
         self._drive = None
 
-    # -- drive attachment (transport main loop) ----------------------------
+    # -- drive attachment (drive loop) -------------------------------------
 
     def attach(self, drive):
         with self._lock:

@@ -5,9 +5,10 @@ owns everything about *which* work runs where and *what* came back —
 and deliberately nothing about *how* work travels: no processes, no
 sockets, no signals, no clocks it did not receive as arguments.  A
 :class:`ChunkScheduler` is therefore fully unit-testable with plain
-function calls, and every transport (the forked local
+function calls, and every source (the inline loop, the forked local
 :class:`~repro.campaign.pool.WorkerPool`, the TCP runner hub of
-:mod:`repro.campaign.remote`, or both mixed) drives the same one.
+:mod:`repro.campaign.remote`, or a pool and runners mixed) leases
+from the same one.
 
 The model:
 
@@ -24,11 +25,14 @@ The model:
   requeued after its owner vanished can never be double-counted when
   the presumed-dead owner's rows straggle in late.
 * **Expiry and release.** :meth:`release` requeues every chunk a
-  vanished owner held (connection death — the fast path);
-  :meth:`expire` requeues chunks whose lease deadline passed (the
-  slow backstop for a wedged-but-connected runner).  Only the
-  still-unreported tail of a chunk is requeued, and its epoch is
-  bumped immediately.
+  vanished owner held (a dead shard or a dropped runner connection —
+  the fast path); :meth:`expire` requeues chunks whose lease deadline
+  passed (the slow backstop for a wedged-but-connected runner).  Only
+  the still-unreported tail of a chunk is requeued, and its epoch is
+  bumped immediately.  A chunk that has lost :data:`MAX_OWNER_LOSSES`
+  owners is not requeued again: its tail folds as ``WorkerDied``, so
+  a point that kills whoever runs it fails alone instead of taking
+  the fleet down one source at a time.  Expiry never counts.
 * **Folding.** :meth:`record` turns wire rows back into
   :class:`~repro.campaign.results.PointResult` objects, deduplicates
   (stale epochs, duplicate indexes), and buffers ``{"__batch__"}``
@@ -38,9 +42,8 @@ The model:
   phantom stats (they are dropped on requeue and re-emitted by the
   re-run).
 * **Loss.** :meth:`fail_lost` converts whatever never came back into
-  ``WorkerDied`` failures — the local pool's partial-shard-death
-  story, where a dead fork's chunk cannot be re-run because the pool
-  is spent.
+  ``WorkerDied`` failures — the end of a campaign whose whole fleet
+  is gone.
 
 Determinism: the scheduler never touches point evaluation, so however
 many times a chunk is leased, requeued, and re-run, the first accepted
@@ -56,6 +59,7 @@ from repro.campaign.tasks import batch_group_key
 __all__ = [
     "Chunk",
     "ChunkScheduler",
+    "MAX_OWNER_LOSSES",
     "WORKER_DIED_ERROR",
     "batch_units",
     "chunk_pending",
@@ -65,6 +69,10 @@ __all__ = [
 #: The error recorded for a point whose evaluator vanished for good.
 WORKER_DIED_ERROR = ("WorkerDied: shard exited before reporting "
                      "this point")
+
+#: Owners a chunk may lose (shard death, runner disconnect) before its
+#: unreported points fail instead of requeueing once more.
+MAX_OWNER_LOSSES = 2
 
 
 def chunk_pending(pending, chunk_size, sources):
@@ -140,7 +148,7 @@ class Chunk:
     exposed read-only to transports for wire conversion)."""
 
     __slots__ = ("chunk_id", "pairs", "epoch", "owner", "deadline",
-                 "outstanding", "batch_stats", "done")
+                 "outstanding", "batch_stats", "done", "losses")
 
     def __init__(self, chunk_id, pairs):
         self.chunk_id = chunk_id
@@ -156,14 +164,16 @@ class Chunk:
         #: when the chunk completes (the atomic-fold guarantee).
         self.batch_stats = []
         self.done = False
+        #: Owners lost while holding this chunk (expiry not counted).
+        self.losses = 0
 
 
 class ChunkScheduler:
     """Lease-based work distribution over one campaign's pending set.
 
     Single-threaded by design: callers that mix threads (a TCP hub's
-    connection threads leasing while the transport's main loop
-    records) serialize access with their own lock.  Every method is a
+    connection threads leasing while the drive loop records)
+    serialize access with their own lock.  Every method is a
     plain state transition on plain data.
 
     The pending set is planned once, at construction, by
@@ -187,8 +197,6 @@ class ChunkScheduler:
         self.collected = {}
         #: chunk_id -> Chunk currently out on lease.
         self.leased = {}
-        #: Requeue accounting (surfaced in live status / tests).
-        self.requeues = 0
 
     # -- queries -----------------------------------------------------------
 
@@ -204,11 +212,6 @@ class ChunkScheduler:
     @property
     def completed(self):
         return len(self.collected)
-
-    @property
-    def queued(self):
-        """Chunks waiting for a lease."""
-        return len(self._queue)
 
     def results(self):
         """``{index: PointResult}`` for everything folded so far."""
@@ -253,18 +256,42 @@ class ChunkScheduler:
                        if index in chunk.outstanding]
         if chunk.pairs:
             self._queue.append(chunk.chunk_id)
-            self.requeues += 1
         else:
             chunk.done = True
 
+    def _fail(self, chunk, error=WORKER_DIED_ERROR):
+        """Fold ``error`` for every unreported point of ``chunk`` and
+        retire it; returns the deliverables."""
+        deliverables = []
+        for index, point in chunk.pairs:
+            if index in chunk.outstanding:
+                result = PointResult(point_id=point.point_id, index=index,
+                                     ok=False, error=error)
+                self.collected[index] = result
+                deliverables.append(("result", result))
+        self.leased.pop(chunk.chunk_id, None)
+        chunk.done = True
+        chunk.outstanding = set()
+        chunk.batch_stats = []
+        return deliverables
+
     def release(self, owner):
-        """An owner vanished: requeue every chunk it held.  Returns
-        the requeued chunks (empty when it held none)."""
-        lost = [chunk for chunk in self.leased.values()
-                if chunk.owner == owner]
-        for chunk in lost:
+        """An owner vanished: requeue the unreported tail of every
+        chunk it held, or fail it once the chunk has lost
+        :data:`MAX_OWNER_LOSSES` owners.  Returns ``(requeued chunks,
+        deliverables)`` — the deliverables are the ``WorkerDied``
+        results of the failed tails."""
+        requeued, failed = [], []
+        for chunk in [chunk for chunk in self.leased.values()
+                      if chunk.owner == owner]:
+            chunk.losses += 1
+            if chunk.losses >= MAX_OWNER_LOSSES:
+                failed.extend(self._fail(chunk))
+                continue
             self._requeue(chunk)
-        return [chunk for chunk in lost if not chunk.done]
+            if not chunk.done:
+                requeued.append(chunk)
+        return requeued, failed
 
     def expire(self, now):
         """Requeue every leased chunk whose deadline has passed."""
@@ -321,25 +348,12 @@ class ChunkScheduler:
         return deliverables
 
     def fail_lost(self, error=WORKER_DIED_ERROR):
-        """Fold a failure for every point that can no longer arrive.
-
-        Used by the local pool when its forked shards are spent: the
-        lost chunks cannot be re-leased anywhere, so their points
-        become failed results (same deliverable shape as
-        :meth:`record`, so the caller's fan-out is uniform).
-        """
+        """Fold a failure for every point that can no longer arrive
+        (the whole fleet is gone); same deliverable shape as
+        :meth:`record`, so the caller's fan-out is uniform."""
         deliverables = []
-        for index, point in self.pending:
-            if index in self.collected:
-                continue
-            result = PointResult(point_id=point.point_id, index=index,
-                                 ok=False, error=error)
-            self.collected[index] = result
-            deliverables.append(("result", result))
         for chunk in self.chunks:
-            chunk.done = True
-            chunk.outstanding = set()
-            chunk.batch_stats = []
-        self.leased.clear()
+            if not chunk.done:
+                deliverables.extend(self._fail(chunk, error))
         self._queue.clear()
         return deliverables

@@ -324,26 +324,22 @@ def _cmd_campaign(args):
     from repro.campaign import default_jobs
     from repro.obs.live import attach_live
 
-    transport = None
-    cleanup = []
+    hub = listener = None
     if args.runners is not None:
-        from repro.campaign.pool import WorkerPool
         from repro.campaign.remote import (RunnerHub, RunnerListener,
                                            parse_address)
-        from repro.campaign.transport import TcpRunnerTransport
 
         kind, host, port = parse_address(str(args.runners))
         if kind != "tcp":
             print("campaign: --runners takes [HOST:]PORT", file=sys.stderr)
             return 2
-        hub = RunnerHub()
+        hub = RunnerHub(lease_timeout_s=args.lease_timeout)
         try:
             listener = RunnerListener(hub, host=host, port=port).start()
         except OSError as exc:
             print(f"campaign: cannot bind runner port "
                   f"{args.runners}: {exc}", file=sys.stderr)
             return 2
-        cleanup.append(listener.stop)
         print(f"campaign: accepting runners on {listener.address} "
               f"('repro runner --connect {listener.address}')",
               file=sys.stderr, flush=True)
@@ -354,16 +350,9 @@ def _cmd_campaign(args):
                   file=sys.stderr)
             listener.stop()
             return 2
-        # --jobs >= 2 alongside --runners is mixed mode: a local pool
-        # steals chunks from the same scheduler as the remote fleet.
-        local_jobs = default_jobs(args.jobs)
-        local_pool = None
-        if local_jobs > 1:
-            local_pool = WorkerPool(local_jobs)
-            cleanup.append(local_pool.close)
-        transport = TcpRunnerTransport(hub, local_pool=local_pool,
-                                       lease_timeout_s=args.lease_timeout)
 
+    # --jobs >= 2 alongside --runners is mixed mode: the service pool's
+    # shards steal units from the same scheduler as the remote fleet.
     try:
         with ResultStore(path=args.out) as store:
             live = attach_live(spec, jobs=default_jobs(args.jobs),
@@ -372,10 +361,10 @@ def _cmd_campaign(args):
                 spec, jobs=args.jobs, store=store, resume_from=resume_from,
                 progress=_progress(spec, args),
                 point_timeout_s=args.point_timeout, live=live,
-                batch=args.batch, transport=transport)
+                batch=args.batch, hub=hub)
     finally:
-        for fn in reversed(cleanup):
-            fn()
+        if listener is not None:
+            listener.stop()
     print(format_summary(spec, result.results,
                          corrupt_rows_skipped=result.corrupt_rows_skipped))
     return 0 if result.all_ok else 1

@@ -205,7 +205,7 @@ class LiveStatus:
 
         ``info`` is :meth:`repro.campaign.remote.RunnerHub.runners_info`
         output — per-runner name/pid/health/points/chunks.  The
-        transport feeds this periodically; the latest snapshot is
+        drive loop feeds this periodically; the latest snapshot is
         embedded in ``status.json`` under ``"runners"`` so ``repro
         watch`` can show fleet health next to the shard table.
         """

@@ -12,7 +12,7 @@ the figure drivers, the difftest harness and ``repro batch`` all share:
 * :meth:`ExecutionService.pool` owns a persistent
   :class:`~repro.campaign.pool.WorkerPool`: forked once, workers
   pre-import and pre-warm, and every subsequent campaign streams its
-  points over the existing queues instead of paying pool startup —
+  points over the existing pipes instead of paying pool startup —
   back-to-back campaigns (a figure driver's sweeps, a difftest run, a
   batch script) reuse the same shards;
 * :meth:`ExecutionService.run_campaign` is

@@ -18,10 +18,11 @@ Failure semantics (each backed by a test in ``tests/test_serve.py``):
 * **Client death** never touches a run: a subscriber whose socket
   breaks is dropped from the broadcast list; the campaign keeps
   executing and its rows keep landing in the store.
-* **Worker death** is the pool's existing partial-shard-death story:
-  the survivors drain, the lost chunk's points fail as
-  ``WorkerDied``, the run finishes with those failures on record, and
-  the next run gets a rebuilt pool.
+* **Worker death** meets the campaign engine's one loss policy: the
+  dead shard's lease requeues to the survivors and the shard is
+  re-forked in place; only a unit that kills a second owner fails its
+  points as ``WorkerDied``, and the run finishes with those failures
+  on record.
 * **Master death** loses nothing durable: run records and result rows
   are on disk before clients hear about them, so a restarted master
   requeues interrupted runs and resumes them from their own stores —
@@ -114,9 +115,8 @@ class Master:
         # register over this Unix socket too); the TCP listener only
         # binds when `runners` names a "[HOST:]PORT".
         from repro.campaign.remote import RunnerHub
-        self.hub = RunnerHub()
+        self.hub = RunnerHub(lease_timeout_s=lease_timeout_s)
         self.runners_address = runners
-        self.lease_timeout_s = lease_timeout_s
         self.listener = None
         self.scheduler = None
         self._sock = None
@@ -529,17 +529,8 @@ class Master:
 
         # With runners registered, the run distributes: remote leases
         # plus (when jobs > 1) the warm local pool stealing from the
-        # same scheduler.  Otherwise the classic local path.
-        transport = None
-        if self.hub.active_count() > 0:
-            from repro.campaign.transport import TcpRunnerTransport
-            from repro.campaign.executor import default_jobs
-            local_jobs = default_jobs(jobs)
-            transport = TcpRunnerTransport(
-                self.hub,
-                local_pool=((lambda: self.service.pool(local_jobs))
-                            if local_jobs > 1 else None),
-                lease_timeout_s=self.lease_timeout_s)
+        # same scheduler.  Otherwise the local path.
+        hub = self.hub if self.hub.active_count() > 0 else None
         event_log().emit("serve_run_start", rid=rid, name=spec.name,
                          jobs=jobs,
                          runners=self.hub.active_count())
@@ -553,7 +544,7 @@ class Master:
                         "point_timeout_s"),
                     chunk_size=record.options.get("chunk_size"),
                     batch=record.options.get("batch"),
-                    transport=transport)
+                    hub=hub)
         except CampaignAborted:
             if self._shutdown.is_set():
                 state = sched.QUEUED   # next master resumes it

@@ -180,23 +180,31 @@ class TestExecutor:
         pool = WorkerPool(2)
         pool.close()
         assert not pool.healthy
+        spec = CampaignSpec(name="closed", points=[
+            CampaignPoint(task="test_echo", workload=f"w{i}")
+            for i in range(2)])
         with pytest.raises(RuntimeError):
-            pool.run("x", [(0, CampaignPoint(task="test_echo"))])
+            run_campaign(spec, pool=pool)
 
     def test_partial_shard_death_terminates_not_hangs(self):
-        """One shard hard-exiting (os._exit, no traceback, no result)
-        must not wedge the run: survivors drain the queued chunks,
-        only the lost chunk's point becomes WorkerDied, and the pool
-        reports unhealthy so its owner rebuilds it."""
+        """A point that hard-exits its shard (os._exit, no traceback,
+        no result) must not wedge the run or take innocent points
+        down: its unit requeues once, kills a second owner, and fails
+        alone as WorkerDied.  The dead shards are re-forked in place,
+        so the caller's pool keeps its width and stays healthy."""
+        from repro.campaign.pool import WorkerPool
+
         points = [CampaignPoint(task="test_die", workload=f"w{i}",
                                 params={"die": i == 1})
                   for i in range(6)]
         spec = CampaignSpec(name="die", points=points)
-        result = run_campaign(spec, jobs=2, chunk_size=1)
+        with WorkerPool(2) as pool:
+            result = run_campaign(spec, pool=pool, chunk_size=1)
+            assert pool.healthy and pool.jobs == 2
         assert len(result.results) == 6
-        dead = [r for r in result.results if not r.ok]
-        assert dead and all("WorkerDied" in r.error for r in dead)
-        assert result.results[1] in dead
+        assert not result.results[1].ok
+        assert "WorkerDied" in result.results[1].error
+        assert all(r.ok for i, r in enumerate(result.results) if i != 1)
 
     def test_pool_factory_not_invoked_when_nothing_pending(self, tmp_path):
         """The service hands run_campaign a pool *factory*; a campaign

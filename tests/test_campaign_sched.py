@@ -7,7 +7,8 @@ function calls: the lease-loss/requeue/straggler story is exercised
 deterministically, then a randomized adversary (random interleavings
 of lease / partial report / release / expire / stale replays) checks
 the core invariant — every point folds exactly once, whatever the
-loss pattern.
+loss pattern, and only a unit that lost two owners folds as
+``WorkerDied``.
 """
 
 import random
@@ -15,8 +16,9 @@ import random
 import pytest
 
 from repro.campaign import CampaignPoint
-from repro.campaign.sched import (WORKER_DIED_ERROR, ChunkScheduler,
-                                  batch_units, chunk_pending)
+from repro.campaign.sched import (MAX_OWNER_LOSSES, WORKER_DIED_ERROR,
+                                  ChunkScheduler, batch_units,
+                                  chunk_pending)
 from repro.campaign.tasks import batch_group_key
 
 
@@ -169,10 +171,10 @@ def test_release_requeues_only_the_unreported_tail():
     old_epoch = chunk.epoch
     sched.record(chunk.chunk_id, old_epoch, row_for(pending[0]))
     sched.record(chunk.chunk_id, old_epoch, row_for(pending[1]))
-    requeued = sched.release("dead")
+    requeued, failed = sched.release("dead")
     assert [c.chunk_id for c in requeued] == [chunk.chunk_id]
     assert {i for i, _ in requeued[0].pairs} == {2, 3, 4, 5}
-    assert sched.requeues == 1
+    assert failed == []  # a first loss requeues, it never fails
     # A straggler from the dead lease is already stale.
     assert sched.record(chunk.chunk_id, old_epoch,
                         row_for(pending[2])) == []
@@ -188,8 +190,55 @@ def test_release_of_fully_reported_chunk_marks_it_done():
     chunk = sched.lease("w")
     for pair in pending:
         sched.record(chunk.chunk_id, chunk.epoch, row_for(pair))
-    assert sched.release("w") == []  # nothing left to requeue
+    assert sched.release("w") == ([], [])  # nothing left to requeue
     assert sched.done
+
+
+@pytest.mark.quick
+def test_second_lost_owner_fails_the_tail_exactly_once():
+    """A unit that kills whoever runs it: the first loss requeues its
+    tail, the second folds that tail as WorkerDied — once — and the
+    unit is retired for good."""
+    pending = make_pairs(4)
+    sched = ChunkScheduler(pending, chunk_size=4)
+    chunk = sched.lease("a")
+    sched.record(chunk.chunk_id, chunk.epoch, row_for(pending[0]))
+    assert sched.release("a") == ([chunk], [])
+    assert sched.lease("b") is chunk
+    sched.record(chunk.chunk_id, chunk.epoch, row_for(pending[1]))
+    requeued, failed = sched.release("b")
+    assert requeued == []
+    assert [(kind, r.index) for kind, r in failed] == [("result", 2),
+                                                       ("result", 3)]
+    assert all(r.error == WORKER_DIED_ERROR and not r.ok
+               for _, r in failed)
+    assert chunk.losses == MAX_OWNER_LOSSES
+    assert sched.done and sched.leased == {}
+    results = sched.results()
+    assert results[0].ok and results[1].ok
+    # Exactly once: nothing left to release, lease, or fold.
+    assert sched.release("b") == ([], [])
+    assert sched.lease("c") is None
+    assert sched.record(chunk.chunk_id, chunk.epoch,
+                        row_for(pending[2])) == []
+    assert sched.fail_lost() == []
+
+
+@pytest.mark.quick
+def test_expiry_never_counts_as_a_lost_owner():
+    """However often a lease expires, the unit's first real owner loss
+    still requeues it rather than failing it."""
+    pending = make_pairs(2)
+    sched = ChunkScheduler(pending, chunk_size=2, lease_timeout_s=1.0)
+    for attempt in range(5):
+        chunk = sched.lease("slow", now=10.0 * attempt)
+        assert sched.expire(now=10.0 * attempt + 2.0) == [chunk]
+    assert chunk.losses == 0
+    assert sched.lease("dies", now=100.0) is chunk
+    assert sched.release("dies") == ([chunk], [])
+    drain_all(sched, owner="ok")
+    assert sched.done
+    assert all(r.ok for r in sched.results().values())
 
 
 @pytest.mark.quick
@@ -278,9 +327,10 @@ def test_fail_lost_fills_worker_died_for_the_remainder():
 @pytest.mark.quick
 @pytest.mark.parametrize("seed", range(8))
 def test_random_loss_interleavings_fold_every_point_once(seed):
-    """Whatever mixture of partial reports, releases, expiries, and
-    stale-row replays happens, every index folds exactly once and the
-    folded value comes from a live lease."""
+    """Whatever mixture of partial reports, releases, owners lost
+    twice over, expiries, and stale-row replays happens, every index
+    folds exactly once: from a live lease, or as WorkerDied exactly
+    for the units that lost two owners."""
     rng = random.Random(seed)
     n = rng.randint(1, 40)
     pending = make_pairs(n)
@@ -295,7 +345,7 @@ def test_random_loss_interleavings_fold_every_point_once(seed):
         if sched.done:
             break
         now += rng.random()
-        action = rng.randrange(6)
+        action = rng.randrange(7)
         owner = rng.choice(owners)
         if action == 0:
             chunk = sched.lease(owner, now=now)
@@ -312,7 +362,7 @@ def test_random_loss_interleavings_fold_every_point_once(seed):
                 delivered.extend(
                     sched.record(chunk.chunk_id, epoch, row_for(pair)))
         elif action == 2:
-            sched.release(owner)
+            delivered.extend(sched.release(owner)[1])
             held.pop(owner, None)
         elif action == 3:
             expired = sched.expire(now)
@@ -326,16 +376,36 @@ def test_random_loss_interleavings_fold_every_point_once(seed):
         elif action == 5 and stale_rows:
             chunk_id, epoch, row = rng.choice(stale_rows)
             delivered.extend(sched.record(chunk_id, epoch, row))
+        elif action == 6:
+            # Lose the owner twice: it dies, comes back, leases the
+            # next unit, and dies again.
+            delivered.extend(sched.release(owner)[1])
+            held.pop(owner, None)
+            if sched.lease(owner, now=now) is not None:
+                delivered.extend(sched.release(owner)[1])
     # Finish whatever is left through one reliable owner.
     for held_owner in list(held):
-        sched.release(held_owner)
-    drain_all(sched, owner="finisher")
+        delivered.extend(sched.release(held_owner)[1])
+    delivered.extend(drain_all(sched, owner="finisher"))
     assert sched.done
     results = sched.results()
     assert sorted(results) == list(range(n))
     # Exactly-once delivery: the deliverable stream never repeated an
     # index, and every folded row is the pure per-point function.
-    seen = [r.index for _, r in delivered]
-    assert len(seen) == len(set(seen))
+    seen = [r.index for kind, r in delivered if kind == "result"]
+    assert sorted(seen) == list(range(n))
+    twice_lost = {index for chunk in sched.chunks
+                  if chunk.losses >= MAX_OWNER_LOSSES
+                  for index, _ in chunk.pairs}
+    failed_chunks = set()
     for index, result in results.items():
-        assert result.ok and result.metrics == {"value": index}
+        if result.ok:
+            assert result.metrics == {"value": index}
+        else:
+            assert result.error == WORKER_DIED_ERROR
+            assert index in twice_lost
+            failed_chunks.add(next(chunk.chunk_id for chunk in sched.chunks
+                                   if any(i == index
+                                          for i, _ in chunk.pairs)))
+    assert failed_chunks == {chunk.chunk_id for chunk in sched.chunks
+                             if chunk.losses >= MAX_OWNER_LOSSES}

@@ -10,7 +10,9 @@ models:
 * a runner SIGKILLed mid-lease (connection death → immediate requeue);
 * a wedged-but-connected runner (lease expiry → requeue);
 * a runner that leaves mid-campaign while a second keeps stealing;
-* an aborted campaign resumed over a fresh fleet.
+* an aborted campaign resumed over a fresh fleet;
+* one source SIGKILLed from outside — a pool shard, a runner, or the
+  shard of a mixed fleet — with one outcome on every fleet.
 
 Runners here are mostly hosted in threads of this process (they speak
 real TCP to a real :class:`RunnerListener`, but share the test's task
@@ -20,6 +22,7 @@ subprocesses because you cannot SIGKILL a thread.
 
 import contextlib
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -34,7 +37,6 @@ from repro.campaign.executor import CampaignAborted
 from repro.campaign.pool import WorkerPool
 from repro.campaign.remote import (RunnerHub, RunnerListener,
                                    parse_address, run_runner)
-from repro.campaign.transport import TcpRunnerTransport
 from repro.obs.live import attach_live
 
 SMALL = 1500
@@ -98,14 +100,14 @@ def read_bytes(path):
         return handle.read()
 
 
-def run_to_store(spec, tmp_path, tag, transport=None, jobs=1, **kwargs):
+def run_to_store(spec, tmp_path, tag, hub=None, jobs=1, **kwargs):
     """One campaign with a file store + live status (so coverage.json
     persists); returns the store path and the campaign result."""
     store_path = str(tmp_path / f"{tag}.jsonl")
     with ResultStore(path=store_path) as store:
         live = attach_live(spec, jobs, store=store)
         result = run_campaign(spec, jobs=jobs, store=store, live=live,
-                              transport=transport, **kwargs)
+                              hub=hub, **kwargs)
     return store_path, result
 
 
@@ -178,7 +180,7 @@ class TestBitIdentity:
         with thread_fleet(2) as (hub, _):
             remote_path, remote = run_to_store(
                 spec, tmp_path, "remote", chunk_size=2,
-                transport=TcpRunnerTransport(hub, poll_s=0.01))
+                hub=hub)
         assert remote.all_ok
         assert rows_of(remote_path) == rows_of(serial_path)
         assert workers_of(remote_path) <= {"t0", "t1"}
@@ -191,8 +193,7 @@ class TestBitIdentity:
             try:
                 mixed_path, mixed = run_to_store(
                     spec, tmp_path, "mixed", chunk_size=2,
-                    transport=TcpRunnerTransport(hub, local_pool=pool,
-                                                 poll_s=0.01))
+                    hub=hub, pool=pool)
             finally:
                 pool.close()
         assert mixed.all_ok
@@ -208,7 +209,7 @@ class TestBitIdentity:
         with thread_fleet(2) as (hub, _):
             remote_path, _ = run_to_store(
                 spec, tmp_path, "remote", chunk_size=1,
-                transport=TcpRunnerTransport(hub, poll_s=0.01))
+                hub=hub)
         assert rows_of(pool_path) == rows_of(serial_path)
         assert rows_of(remote_path) == rows_of(serial_path)
         reference = read_bytes(coverage_path_for(serial_path))
@@ -244,7 +245,7 @@ class TestBitIdentity:
                     run_campaign(
                         spec, store=store, live=live, progress=progress,
                         abort=stop.is_set, chunk_size=1, batch=1,
-                        transport=TcpRunnerTransport(hub, poll_s=0.01))
+                        hub=hub)
             aborted_rows = rows_of(out)
             assert 0 < len(aborted_rows) < len(spec.points)
             # Resume over the same fleet finishes the remainder.
@@ -253,7 +254,7 @@ class TestBitIdentity:
                 result = run_campaign(
                     spec, store=store, live=live, resume_from=out,
                     chunk_size=1,
-                    transport=TcpRunnerTransport(hub, poll_s=0.01))
+                    hub=hub)
         assert result.all_ok
         assert rows_of(out) == rows_of(ref_path)
         assert read_bytes(coverage_path_for(out)) == \
@@ -305,7 +306,7 @@ class TestFleetSpread:
         with thread_fleet(2) as (hub, _):
             path, result = run_to_store(
                 spec, tmp_path, "remote",
-                transport=TcpRunnerTransport(hub, poll_s=0.01))
+                hub=hub)
         assert result.all_ok
         assert workers_of(path) == {"t0", "t1"}
         self.assert_same(path, reference)
@@ -319,8 +320,7 @@ class TestFleetSpread:
             try:
                 path, result = run_to_store(
                     spec, tmp_path, "mixed",
-                    transport=TcpRunnerTransport(hub, local_pool=pool,
-                                                 poll_s=0.01))
+                    hub=hub, pool=pool)
             finally:
                 pool.close()
         assert result.all_ok
@@ -340,30 +340,29 @@ class TestLeaseRenewal:
         and the requeued chunk hit the same wall forever."""
         spec = slow_spec(n=2, sleep_s=0.6)
         serial_path, _ = run_to_store(spec, tmp_path, "serial")
-        with thread_fleet(1, heartbeat_s=0.05) as (hub, _):
+        with thread_fleet(1, hub=RunnerHub(lease_timeout_s=0.25),
+                          heartbeat_s=0.05) as (hub, _):
             # batch=1 keeps chunk_size honoured (auto lanes floor it).
             path, result = run_to_store(
-                spec, tmp_path, "slow", chunk_size=1, batch=1,
-                transport=TcpRunnerTransport(hub, poll_s=0.01,
-                                             lease_timeout_s=0.25))
+                spec, tmp_path, "slow", chunk_size=1, batch=1, hub=hub)
         assert result.all_ok
         assert rows_of(path) == rows_of(serial_path)
 
     def test_local_pool_lease_renews_while_shards_alive(self, tmp_path):
         """Mixed-mode local chunks outlive the bare lease timeout:
-        live shards renew the ``local`` lease every pump, so a chunk
-        whose total runtime exceeds the timeout streams to completion
-        instead of expiring mid-chunk and duplicating its tail."""
+        shard leases carry no deadline (the drive loop sees a shard
+        die directly), so a chunk whose total runtime exceeds the
+        timeout streams to completion instead of expiring mid-chunk
+        and duplicating its tail."""
         spec = slow_spec(name="rem-slow-local", n=3, sleep_s=0.2)
         serial_path, _ = run_to_store(spec, tmp_path, "serial")
-        hub = RunnerHub()  # no runners: the pool is the only source
+        # no runners: the pool is the only source
+        hub = RunnerHub(lease_timeout_s=0.35)
         pool = WorkerPool(1)
         try:
             path, result = run_to_store(
                 spec, tmp_path, "local", chunk_size=3, batch=1,
-                transport=TcpRunnerTransport(hub, local_pool=pool,
-                                             poll_s=0.01,
-                                             lease_timeout_s=0.35))
+                hub=hub, pool=pool)
         finally:
             pool.close()
         assert result.all_ok
@@ -403,7 +402,7 @@ class TestLoss:
             assert hub.wait_for(3, timeout_s=15.0) >= 3
             path, result = run_to_store(
                 spec, tmp_path, "leave", chunk_size=2,
-                transport=TcpRunnerTransport(hub, poll_s=0.01))
+                hub=hub)
         thread.join(timeout=10.0)
         assert result.all_ok
         assert rows_of(path) == rows_of(serial_path)
@@ -438,8 +437,7 @@ class TestLoss:
                     # runner's single chunk leaves work behind.
                     outcome["path"], outcome["result"] = run_to_store(
                         spec, tmp_path, "blip", chunk_size=2, batch=1,
-                        transport=TcpRunnerTransport(
-                            hub, poll_s=0.01, runner_grace_s=20.0))
+                        hub=hub)
                 except BaseException as exc:  # noqa: BLE001 — surface
                     outcome["exc"] = exc      # in the main thread
             t_campaign = threading.Thread(target=campaign, daemon=True)
@@ -476,8 +474,7 @@ class TestLoss:
         start = time.monotonic()
         path, result = run_to_store(
             spec, tmp_path, "empty",
-            transport=TcpRunnerTransport(hub, poll_s=0.01,
-                                         runner_grace_s=30.0))
+            hub=hub)
         assert time.monotonic() - start < 5.0
         assert not result.all_ok
         assert all("WorkerDied" in r.error for r in result.results)
@@ -488,7 +485,7 @@ class TestLoss:
         healthy runner re-runs it — rows identical to serial."""
         spec = echo_spec(name="rem-wedge", n=6)
         serial_path, _ = run_to_store(spec, tmp_path, "serial")
-        hub = RunnerHub()
+        hub = RunnerHub(lease_timeout_s=0.3)
         listener = RunnerListener(hub, host="127.0.0.1", port=0).start()
         wedged = hub.register(object(), name="wedged")
         stolen = {}
@@ -497,9 +494,7 @@ class TestLoss:
         def campaign():
             try:
                 stolen["store"], stolen["result"] = run_to_store(
-                    spec, tmp_path, "wedge", chunk_size=2,
-                    transport=TcpRunnerTransport(hub, poll_s=0.01,
-                                                 lease_timeout_s=0.3))
+                    spec, tmp_path, "wedge", chunk_size=2, hub=hub)
             except BaseException as exc:  # noqa: BLE001 — surface in
                 failure["exc"] = exc      # the main thread's assert
         thread = threading.Thread(target=campaign, daemon=True)
@@ -570,8 +565,7 @@ class TestLoss:
 
             path, result = run_to_store(
                 spec, tmp_path, "kill", chunk_size=1, progress=progress,
-                transport=TcpRunnerTransport(hub, poll_s=0.02,
-                                             lease_timeout_s=60.0))
+                hub=hub)
         finally:
             for proc in procs:
                 proc.kill()
@@ -579,6 +573,94 @@ class TestLoss:
             listener.stop()
         assert killed, "campaign finished before the kill fired"
         assert result.all_ok
+        assert rows_of(path) == rows_of(serial_path)
+        assert read_bytes(coverage_path_for(path)) == \
+            read_bytes(coverage_path_for(serial_path))
+
+
+# -- same failure, same outcome --------------------------------------------
+
+
+@contextlib.contextmanager
+def subprocess_runners(count):
+    """``count`` genuine ``repro runner`` processes on a loopback
+    listener (a thread cannot be SIGKILLed); yields the hub and the
+    processes."""
+    import repro
+
+    src_dir = os.path.dirname(os.path.dirname(
+        os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (src_dir + os.pathsep + env["PYTHONPATH"]
+                         if env.get("PYTHONPATH") else src_dir)
+    hub = RunnerHub()
+    listener = RunnerListener(hub, host="127.0.0.1", port=0).start()
+    procs = [subprocess.Popen(
+        [sys.executable, "-m", "repro", "runner",
+         "--connect", listener.address, "--name", f"sub{i}",
+         "--poll", "0.02", "--no-reconnect"],
+        env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL) for i in range(count)]
+    try:
+        assert hub.wait_for(count, timeout_s=60.0) >= count, \
+            "subprocess runners never registered"
+        yield hub, procs
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait(timeout=30.0)
+        listener.stop()
+
+
+#: fleet -> (local shards, subprocess runners)
+KILL_FLEETS = {"pool": (2, 0), "runners": (0, 2), "mixed": (1, 1)}
+
+
+class TestSameFailureSameOutcome:
+    """An outside SIGKILL of any one source mid-campaign has one
+    outcome whatever the fleet: the lost lease requeues to the
+    survivors (a dead shard is re-forked in place), and the campaign
+    ends all_ok with rows and coverage.json identical to serial."""
+
+    @pytest.mark.parametrize("fleet", [
+        "pool",
+        pytest.param("runners", marks=pytest.mark.slow),
+        pytest.param("mixed", marks=pytest.mark.slow),
+    ])
+    def test_sigkill_one_source_ends_all_ok(self, tmp_path, fleet):
+        spec = inject_spec(name=f"rem-same-{fleet}", trials=8,
+                           instructions=SMALL * 4)
+        serial_path, serial = run_to_store(spec, tmp_path, "serial")
+        assert serial.all_ok
+        shards, runners = KILL_FLEETS[fleet]
+        with contextlib.ExitStack() as stack:
+            hub, procs = (stack.enter_context(subprocess_runners(runners))
+                          if runners else (None, []))
+            pool = stack.enter_context(WorkerPool(shards)) if shards \
+                else None
+            killed = []
+
+            def victim(result):
+                if fleet == "pool":
+                    # The shard that did not just report: mid-unit.
+                    return pool.pids[1 - result.worker]
+                return pool.pids[0] if pool else procs[0].pid
+
+            def progress(result):
+                if not killed:
+                    killed.append(victim(result))
+                    os.kill(killed[0], signal.SIGKILL)
+
+            # batch=1: one point per unit, so every source always
+            # holds an unreported lease when the kill lands.
+            path, result = run_to_store(
+                spec, tmp_path, fleet, chunk_size=1, batch=1,
+                progress=progress, hub=hub, pool=pool)
+            if pool is not None:
+                assert killed[0] not in pool.pids  # re-forked in place
+                assert pool.healthy and pool.jobs == shards
+        assert killed, "campaign finished before the kill fired"
+        assert result.all_ok, [r.error for r in result.failed]
         assert rows_of(path) == rows_of(serial_path)
         assert read_bytes(coverage_path_for(path)) == \
             read_bytes(coverage_path_for(serial_path))
