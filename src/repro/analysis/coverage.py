@@ -17,8 +17,8 @@ from it.
 """
 
 import json
-import os
-import tempfile
+
+from repro.common.files import atomic_write
 
 #: Upper edges (ns) of the latency buckets; the last bucket is open.
 BUCKET_BOUNDS_NS = (100.0, 1_000.0, 10_000.0, 100_000.0)
@@ -161,21 +161,7 @@ def save_coverage(coverage, path):
     """Atomically persist ``coverage`` as deterministic sorted JSON."""
     payload = json.dumps(coverage.to_dict(), sort_keys=True,
                          separators=(",", ":")) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, temp_path = tempfile.mkstemp(dir=directory, prefix=".coverage-",
-                                     suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
-    return path
+    return atomic_write(path, payload)
 
 
 def load_coverage(path):

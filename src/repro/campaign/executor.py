@@ -100,10 +100,11 @@ def resolve_batch_lanes(batch=None):
 
     ``"auto"`` (or nothing) picks the kernel's default lane count when
     the batched kernel can run in this process (numpy importable,
-    ``REPRO_NO_BATCH``/``REPRO_SLOW_KERNEL`` unset); ``1`` disables
-    batching.  An explicit width is likewise clamped to 1 when the
-    kernel is unavailable, so ``--batch 64`` under ``REPRO_NO_BATCH=1``
-    degrades to serial evaluation instead of erroring.
+    ``REPRO_SLOW_KERNEL`` unset); ``1`` (``--batch 1``,
+    ``REPRO_BATCH=1``) disables batching.  An explicit width is
+    likewise clamped to 1 when the kernel is unavailable, so
+    ``--batch 64`` under ``REPRO_SLOW_KERNEL=1`` degrades to serial
+    evaluation instead of erroring.
     """
     from repro.perf.batch import DEFAULT_BATCH_LANES, batch_available
     if batch is None:

@@ -4,28 +4,35 @@ The multi-host half of the transport layer (ARTIQ's controller-manager
 register/heartbeat/restart pattern, adapted to work-stealing):
 
 * :class:`RunnerHub` — the master-side registry of runner processes.
-  Socket-agnostic: connection threads (the TCP listener below, or the
-  ``repro serve`` Unix-socket client loop) call
-  :meth:`~RunnerHub.register` / :meth:`~RunnerHub.lease` /
-  :meth:`~RunnerHub.row` / :meth:`~RunnerHub.heartbeat` and report
-  disconnects via :meth:`~RunnerHub.lost_channel`.  While a campaign
-  executes, a :class:`Drive` is attached and leases flow; between
-  campaigns runners idle on empty leases.
-* :class:`RunnerListener` — a TCP accept loop speaking the
-  line-JSON protocol of :mod:`repro.serve.protocol` on a
-  host:port.  **Security note: the listener does no authentication —
-  bind it only on interfaces you trust (loopback or a private
-  cluster network).**  Runner loss is detected the moment the
-  connection drops; the hub releases its leases, which requeue to
+  Socket-agnostic: :func:`handle_runner_method`, called from either
+  server's connection threads, drives :meth:`~RunnerHub.register` /
+  :meth:`~RunnerHub.lease` / :meth:`~RunnerHub.row` /
+  :meth:`~RunnerHub.heartbeat`, and a closed connection reports
+  :meth:`~RunnerHub.lost_channel`.  While a campaign executes, a
+  :class:`Drive` is attached and leases flow; between campaigns
+  runners idle on empty leases.
+* :func:`serve_runners` — the TCP runner port: a line server that
+  answers ``runner_*`` methods only (anything else gets
+  ``bad_request``).  **Security note: the port does no
+  authentication — bind it only on interfaces you trust (loopback or
+  a private cluster network).**  Runner loss is detected the moment
+  the connection drops; the hub releases its leases, which requeue to
   the surviving sources (or fail, for a unit on its second lost
   owner — the one loss policy of :mod:`repro.campaign.transport`).
 * :func:`run_runner` — the ``repro runner --connect`` client loop:
-  connect, register, lease chunks, evaluate them with the same
+  connect (TCP port or serve socket), register, lease chunks,
+  evaluate them with the same
   :func:`~repro.campaign.work.evaluate_units` loop every other
   source uses, and stream the result rows back (pipelined, one
   response drain per chunk).  Reconnects with backoff when the master
   goes away, so a restarted master gets its fleet back without anyone
   touching the runner hosts.
+
+The wire itself is not here: one
+:class:`~repro.serve.protocol.LineServer` and one
+:class:`~repro.serve.protocol.LineClient` carry both the TCP runner
+port and the ``repro serve`` Unix socket, so framing, error replies
+and connection loss behave the same on both.
 
 Determinism: a runner evaluates points with the same per-point
 deterministic RNG as a local shard — rows are pure functions of point
@@ -33,8 +40,8 @@ identity — so any mixture of runners and local shards produces
 byte-identical metrics rows and ``coverage.json``.
 """
 
+import functools
 import os
-import socket
 import threading
 import time
 
@@ -42,15 +49,15 @@ from repro.campaign.spec import CampaignPoint
 from repro.campaign.work import evaluate_units
 from repro.obs.events import event_log
 from repro.serve import protocol
-from repro.serve.protocol import ProtocolError
+from repro.serve.protocol import ProtocolError, ServeError
 
 __all__ = [
     "Drive",
     "RunnerHub",
-    "RunnerListener",
     "handle_runner_method",
     "parse_address",
     "run_runner",
+    "serve_runners",
 ]
 
 
@@ -322,7 +329,7 @@ class RunnerHub:
 def handle_runner_method(hub, channel, method, params):
     """Dispatch one validated ``runner_*`` request against ``hub``.
 
-    Shared by the TCP listener and the ``repro serve`` master (so
+    Shared by the TCP runner port and the ``repro serve`` master (so
     runners can register over either the TCP port or the serve Unix
     socket, alongside regular clients).
     """
@@ -344,234 +351,25 @@ def handle_runner_method(hub, channel, method, params):
                         f"not a runner method: {method!r}")
 
 
-class RunnerListener:
-    """TCP accept loop feeding a :class:`RunnerHub`.
+def serve_runners(hub, address="127.0.0.1:0"):
+    """Open the runner port on ``address`` (``[HOST:]PORT``; port 0
+    picks a free one) and return its running
+    :class:`~repro.serve.protocol.LineServer`; ``.address`` is the
+    bound ``host:port``, ``.stop()`` closes it.
 
     Trusted-network-only: there is no authentication or transport
-    encryption on this socket.  Bind to ``127.0.0.1`` (the default)
-    or a private cluster interface — never a public one.
+    encryption on this socket.
     """
-
-    def __init__(self, hub, host="127.0.0.1", port=0):
-        self.hub = hub
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(16)
-        self._sock.settimeout(0.2)
-        self.host, self.port = self._sock.getsockname()[:2]
-        self._shutdown = threading.Event()
-        self._threads = []
-        self._conns = []
-        self._conns_lock = threading.Lock()
-
-    @property
-    def address(self):
-        return f"{self.host}:{self.port}"
-
-    def start(self):
-        thread = threading.Thread(target=self._accept_loop,
-                                  name="runner-accept", daemon=True)
-        thread.start()
-        self._threads.append(thread)
-        event_log().emit("runner_listener_start", host=self.host,
-                         port=self.port)
-        return self
-
-    def _accept_loop(self):
-        while not self._shutdown.is_set():
-            try:
-                conn, peer = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            with self._conns_lock:
-                self._conns.append(conn)
-            thread = threading.Thread(
-                target=self._conn_loop, args=(conn,),
-                name=f"runner-conn-{peer[1]}", daemon=True)
-            thread.start()
-
-    def _conn_loop(self, conn):
-        reader = protocol.LineReader()
-        send_lock = threading.Lock()
-
-        def send(message):
-            data = protocol.encode(message)
-            with send_lock:
-                conn.sendall(data)
-
-        try:
-            while True:
-                try:
-                    data = conn.recv(65536)
-                except OSError:
-                    break
-                if not data:
-                    break
-                for item in reader.feed(data):
-                    if isinstance(item, protocol.Oversized):
-                        send(protocol.error_response(
-                            None, protocol.E_OVERSIZED,
-                            f"line exceeded "
-                            f"{protocol.MAX_LINE_BYTES} bytes"))
-                        continue
-                    self._handle_line(conn, item, send)
-        except OSError:
-            pass
-        finally:
-            self.hub.lost_channel(conn)
-            with self._conns_lock:
-                if conn in self._conns:
-                    self._conns.remove(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def _handle_line(self, conn, line, send):
-        request_id = None
-        try:
-            frame = protocol.decode(line)
-            request_id, method, params = protocol.parse_request(frame)
-            if not method.startswith("runner_"):
-                raise ProtocolError(
-                    protocol.E_BAD_REQUEST,
-                    f"the runner port only speaks runner_* methods, "
-                    f"not {method!r}")
-            result = handle_runner_method(self.hub, conn, method, params)
-            send(protocol.response(request_id, result))
-        except ProtocolError as exc:
-            try:
-                send(protocol.error_response(request_id, exc.code,
-                                             exc.message))
-            except OSError:
-                pass
-        except OSError:
-            raise
-        except Exception as exc:  # noqa: BLE001 — a hub bug must not
-            # kill the listener thread (mirrors the serve master).
-            try:
-                send(protocol.error_response(
-                    request_id, protocol.E_SERVER,
-                    f"{type(exc).__name__}: {exc}"))
-            except OSError:
-                pass
-
-    def stop(self):
-        self._shutdown.set()
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        with self._conns_lock:
-            conns = list(self._conns)
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for thread in self._threads:
-            thread.join(timeout=5.0)
-        event_log().emit("runner_listener_stop", host=self.host,
-                        port=self.port)
+    server = protocol.LineServer(
+        parse_address(str(address)),
+        functools.partial(handle_runner_method, hub),
+        methods=protocol.RUNNER_METHODS, on_close=hub.lost_channel,
+        name="runner")
+    event_log().emit("runner_listener_start", address=server.address)
+    return server
 
 
 # -- the runner client -----------------------------------------------------
-
-class _Channel:
-    """Pipelined line-JSON RPC client over one socket.
-
-    Responses arrive in request order (the master handles frames
-    sequentially per connection), so rows can be fired without
-    waiting (:meth:`cast`) and their responses drained in one sweep
-    before the next synchronous :meth:`call`.
-
-    Sends are serialized under a lock so a helper thread (the
-    in-evaluation heartbeat of :func:`_evaluate_lease`) can
-    :meth:`cast` concurrently with the evaluating thread's row casts.
-    Receives stay single-threaded: only the main loop drains.
-    """
-
-    def __init__(self, sock):
-        self._sock = sock
-        self._reader = protocol.LineReader()
-        self._responses = []
-        self._pending = 0
-        self._next_id = 1
-        self._send_lock = threading.Lock()
-
-    def close(self):
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    def _send(self, method, params):
-        with self._send_lock:
-            request_id = self._next_id
-            self._next_id += 1
-            data = protocol.encode(
-                protocol.request(method, params, request_id=request_id))
-            self._sock.sendall(data)
-            self._pending += 1
-
-    def _recv_one(self):
-        while not self._responses:
-            data = self._sock.recv(65536)
-            if not data:
-                raise ConnectionError("master closed the connection")
-            for item in self._reader.feed(data):
-                if isinstance(item, protocol.Oversized):
-                    raise ConnectionError("oversized frame from master")
-                self._responses.append(protocol.decode(item))
-        with self._send_lock:
-            self._pending -= 1
-        return self._responses.pop(0)
-
-    def cast(self, method, params):
-        """Fire a request without waiting for its response."""
-        self._send(method, params)
-
-    def flush(self):
-        """Drain every pending response; raise on any error reply."""
-        while self._pending:
-            reply = self._recv_one()
-            if not reply.get("ok"):
-                error = reply.get("error") or {}
-                raise ConnectionError(
-                    f"master rejected a frame: {error.get('code')}: "
-                    f"{error.get('message')}")
-
-    def call(self, method, params):
-        """Synchronous request/response (drains pending rows first)."""
-        self.flush()
-        self._send(method, params)
-        reply = self._recv_one()
-        if not reply.get("ok"):
-            error = reply.get("error") or {}
-            raise ConnectionError(
-                f"{method} failed: {error.get('code')}: "
-                f"{error.get('message')}")
-        return reply["result"]
-
-
-def _connect(address, timeout_s=10.0):
-    kind, host, port = parse_address(address)
-    if kind == "tcp":
-        sock = socket.create_connection((host, port), timeout=timeout_s)
-    else:
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(timeout_s)
-        sock.connect(host)
-    sock.settimeout(None)
-    return _Channel(sock)
-
 
 def run_runner(address, name=None, poll_s=0.5, reconnect=True,
                retry_s=30.0, max_chunks=None, idle_exit_s=None,
@@ -595,21 +393,10 @@ def run_runner(address, name=None, poll_s=0.5, reconnect=True,
     last_grant = time.monotonic()
     failing_since = None
     while True:
+        channel = None
         try:
-            channel = _connect(address)
-        except OSError as exc:
-            if not reconnect:
-                raise
-            now = time.monotonic()
-            failing_since = failing_since or now
-            if now - failing_since > retry_s:
-                raise ConnectionError(
-                    f"no master at {address} after {retry_s:.0f}s "
-                    f"of retries") from exc
-            time.sleep(min(1.0, poll_s))
-            continue
-        failing_since = None
-        try:
+            channel = protocol.LineClient(parse_address(address))
+            failing_since = None
             hello = channel.call("runner_register", {
                 "name": name, "pid": os.getpid(), "slots": 1})
             runner_id = hello["runner"]
@@ -637,20 +424,24 @@ def run_runner(address, name=None, poll_s=0.5, reconnect=True,
                                 heartbeat_s=heartbeat_s)
                 if max_chunks is not None and chunks_done >= max_chunks:
                     return chunks_done
-        except (OSError, ConnectionError, ProtocolError, KeyError) as exc:
+        except (OSError, ServeError, ProtocolError, KeyError) as exc:
+            # A refused connect and a dropped conversation are one
+            # failure: retry until ``retry_s`` of continuous failure.
             if not reconnect:
-                raise
+                raise ConnectionError(
+                    f"no master at {address}: {exc}") from exc
             now = time.monotonic()
             failing_since = failing_since or now
             if now - failing_since > retry_s:
                 raise ConnectionError(
-                    f"lost master at {address} and could not get it "
-                    f"back within {retry_s:.0f}s: {exc}") from exc
-            if on_status is not None:
+                    f"no master at {address} within {retry_s:.0f}s "
+                    f"of retries: {exc}") from exc
+            if on_status is not None and channel is not None:
                 on_status(f"connection lost ({exc}); retrying")
             time.sleep(min(1.0, poll_s))
         finally:
-            channel.close()
+            if channel is not None:
+                channel.close()
 
 
 def _evaluate_lease(channel, runner_id, worker_id, work,
@@ -663,22 +454,17 @@ def _evaluate_lease(channel, runner_id, worker_id, work,
     seconds for the duration of the evaluation: completed-unit rows
     are the only other renewal signal, so without it any single unit
     slower than the master's lease timeout would expire its lease
-    mid-evaluation.  The thread only ever *casts* (the channel's send
+    mid-evaluation.  The thread only ever *casts* (the client's send
     path is lock-serialized); it is joined before the final flush, so
     the main loop's synchronous calls never race a stray response.
     """
     pairs = [(index, CampaignPoint.from_dict(point_dict))
              for index, point_dict in work["points"]]
 
-    def emit(result):
+    def send_row(row):
         channel.cast("runner_row", {
             "runner": runner_id, "chunk": work["chunk"],
-            "epoch": work["epoch"], "row": result.to_row()})
-
-    def on_batch(stats):
-        channel.cast("runner_row", {
-            "runner": runner_id, "chunk": work["chunk"],
-            "epoch": work["epoch"], "row": {"__batch__": stats}})
+            "epoch": work["epoch"], "row": row})
 
     stop = threading.Event()
 
@@ -696,8 +482,10 @@ def _evaluate_lease(channel, runner_id, worker_id, work,
         beater.start()
     try:
         evaluate_units([pairs], work["campaign"],
-                       work.get("timeout_s"), worker_id, emit=emit,
-                       on_batch=on_batch)
+                       work.get("timeout_s"), worker_id,
+                       emit=lambda result: send_row(result.to_row()),
+                       on_batch=lambda stats: send_row(
+                           {"__batch__": stats}))
     finally:
         if beater is not None:
             stop.set()

@@ -326,16 +326,15 @@ def _cmd_campaign(args):
 
     hub = listener = None
     if args.runners is not None:
-        from repro.campaign.remote import (RunnerHub, RunnerListener,
-                                           parse_address)
+        from repro.campaign.remote import (RunnerHub, parse_address,
+                                           serve_runners)
 
-        kind, host, port = parse_address(str(args.runners))
-        if kind != "tcp":
+        if parse_address(str(args.runners))[0] != "tcp":
             print("campaign: --runners takes [HOST:]PORT", file=sys.stderr)
             return 2
         hub = RunnerHub(lease_timeout_s=args.lease_timeout)
         try:
-            listener = RunnerListener(hub, host=host, port=port).start()
+            listener = serve_runners(hub, args.runners)
         except OSError as exc:
             print(f"campaign: cannot bind runner port "
                   f"{args.runners}: {exc}", file=sys.stderr)
@@ -647,9 +646,10 @@ def _cmd_serve(args):
               f"-> requeued", file=sys.stderr)
     print(f"serve: master pid {os.getpid()} listening on "
           f"{master.socket_path}")
-    if master.listener is not None:
-        print(f"serve: accepting runners on {master.listener.address} "
-              f"('repro runner --connect {master.listener.address}')")
+    if master.runner_server is not None:
+        address = master.runner_server.address
+        print(f"serve: accepting runners on {address} "
+              f"('repro runner --connect {address}')")
     print(f"serve: state dir {master.state_dir}", flush=True)
 
     def _request_stop(signum, frame):

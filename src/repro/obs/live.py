@@ -37,12 +37,12 @@ The snapshot schema (``schema`` 1)::
 
 import json
 import os
-import tempfile
 import threading
 import time
 
 from repro.analysis.coverage import (COVERAGE_SUFFIX, CoverageMap,
                                      save_coverage)
+from repro.common.files import atomic_write
 from repro.obs.events import event_log
 from repro.obs.metrics import Quantile, RateWindow, get_registry
 
@@ -362,21 +362,7 @@ class LiveStatus:
             payload = json.dumps(self._snapshot_locked(),
                                  sort_keys=True) + "\n"
         try:
-            directory = os.path.dirname(os.path.abspath(self.path))
-            os.makedirs(directory, exist_ok=True)
-            fd, temp_path = tempfile.mkstemp(dir=directory,
-                                             prefix=".status-",
-                                             suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(payload)
-                os.replace(temp_path, self.path)
-            except BaseException:
-                try:
-                    os.unlink(temp_path)
-                except OSError:
-                    pass
-                raise
+            atomic_write(self.path, payload)
         except OSError:
             return False
         return True

@@ -41,18 +41,16 @@ Divergence and eviction: a lane's architectural state *cannot*
 diverge — the non-interference property above is load-bearing and is
 enforced by the bit-identity battery.  Eviction is therefore a purely
 defensive mechanism: a lane whose controller raises, or one forcibly
-evicted by the test hooks (``REPRO_BATCH_FORCE_EVICT`` /
-``force_eviction_hook``), is dropped from the batch mid-run and the
-caller reruns that point on the scalar kernel from cycle 0 — which is
-bit-identical by definition.  Whole-engine failures abort the batch
+evicted by the ``force_eviction_hook`` test hook, is dropped from the
+batch mid-run and the caller reruns that point on the scalar kernel
+from cycle 0 — which is bit-identical by definition.  Whole-engine failures abort the batch
 the same way for every lane.
 
-``REPRO_NO_BATCH=1`` disables batching outright; ``REPRO_SLOW_KERNEL=1``
-(the historical escape hatch) does too, because batching reproduces
-the *fast*-kernel commit protocol.
+``--batch 1`` (or ``REPRO_BATCH=1``) keeps campaigns off the batch
+kernel; ``REPRO_SLOW_KERNEL=1`` (the historical escape hatch) disables
+it outright, because batching reproduces the *fast*-kernel commit
+protocol.
 """
-
-import os
 
 from repro.common.errors import SimulationError
 from repro.core.controller import MeekController
@@ -76,21 +74,15 @@ except ImportError:  # pragma: no cover - numpy is part of the toolchain
 DEFAULT_BATCH_LANES = 32
 
 #: Test hook: ``callable(lane, instr_index) -> bool`` forcing an
-#: eviction; see also ``REPRO_BATCH_FORCE_EVICT="lane:index[,...]"``.
+#: eviction.
 force_eviction_hook = None
 
 _RA = 1  # link register (jal/jalr calling convention)
 
 
-def no_batch_enabled():
-    """``REPRO_NO_BATCH=1`` turns the batch kernel off."""
-    return os.environ.get("REPRO_NO_BATCH", "") not in ("", "0")
-
-
 def batch_available():
     """Whether the batched kernel may run in this process."""
-    return (_np is not None and not no_batch_enabled()
-            and not slow_kernel_enabled())
+    return _np is not None and not slow_kernel_enabled()
 
 
 class BatchError(SimulationError):
@@ -99,23 +91,6 @@ class BatchError(SimulationError):
 
 class _ForcedEviction(Exception):
     """Raised by the test hooks to force one lane out mid-run."""
-
-
-def _env_forced_evictions():
-    """Parse ``REPRO_BATCH_FORCE_EVICT`` into {(lane, index), ...}."""
-    raw = os.environ.get("REPRO_BATCH_FORCE_EVICT", "")
-    forced = set()
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        lane, _, index = item.partition(":")
-        try:
-            forced.add((int(lane), int(index)))
-        except ValueError:
-            raise BatchError(
-                f"bad REPRO_BATCH_FORCE_EVICT entry {item!r}") from None
-    return forced
 
 
 class _VecPool:
@@ -221,7 +196,7 @@ def run_batch(config, program, injectors):
     """
     if not batch_available():
         raise BatchError("batch kernel unavailable "
-                         "(numpy/REPRO_NO_BATCH/REPRO_SLOW_KERNEL)")
+                         "(numpy/REPRO_SLOW_KERNEL)")
     engine = _BatchEngine(config, program, injectors)
     try:
         return engine.run()
@@ -279,7 +254,6 @@ class _BatchEngine:
         self.latency = donor._latency
         self.occupancy = donor._occupancy
         self.classify = self.controllers[0].deu.classify
-        self._forced = _env_forced_evictions()
         # Lane liveness + observability.
         self.live = list(range(self.lanes))
         self.evicted = [None] * self.lanes
@@ -289,8 +263,6 @@ class _BatchEngine:
     # -- eviction ----------------------------------------------------------
 
     def _should_force_evict(self, lane, index):
-        if (lane, index) in self._forced:
-            return True
         hook = force_eviction_hook
         return hook is not None and hook(lane, index)
 
@@ -383,7 +355,7 @@ class _BatchEngine:
         absorbed = np.zeros(lanes, dtype=np.int64)
         fire = np.zeros(lanes, dtype=bool)
 
-        check_forced = bool(self._forced) or force_eviction_hook is not None
+        check_forced = force_eviction_hook is not None
         occupancy_sum = 0
         index = 0
         halted_by = "end"

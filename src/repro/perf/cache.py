@@ -42,8 +42,9 @@ import importlib.util
 import marshal
 import os
 import sys
-import tempfile
 from hashlib import blake2b
+
+from repro.common.files import atomic_write
 
 CACHE_SCHEMA = 1
 
@@ -167,21 +168,7 @@ class CodeCache:
         try:
             merged = dict(self._read_entries(self.path))
             merged.update(self._entries)
-            payload = _MAGIC + marshal.dumps(merged)
-            directory = os.path.dirname(self.path) or "."
-            os.makedirs(directory, exist_ok=True)
-            fd, temp_path = tempfile.mkstemp(dir=directory,
-                                             prefix=".cache-", suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(payload)
-                os.replace(temp_path, self.path)
-            except BaseException:
-                try:
-                    os.unlink(temp_path)
-                except OSError:
-                    pass
-                raise
+            atomic_write(self.path, _MAGIC + marshal.dumps(merged))
             self._entries = merged
             self._dirty = False
             return True

@@ -9,14 +9,16 @@ starts a **master** daemon that owns the process-wide
 and serves it to any number of submitters over a local Unix socket:
 
 * :mod:`repro.serve.protocol` — the line-delimited JSON RPC: strict
-  framing, structured errors, fuzz-hardened parsing;
+  framing, structured errors, fuzz-hardened parsing, and the one
+  server and one client that carry both the Unix socket and the TCP
+  runner port (which accepts ``runner_*`` methods only);
 * :mod:`repro.serve.scheduler` — persistent run records, monotonic
   run-id allocation, and the ARTIQ-style priority queue (higher
   priority first, submission order within a priority);
-* :mod:`repro.serve.master` — the daemon: accepts clients, executes
-  one run at a time over the shared pool, streams result rows to
-  subscribers, survives client death / worker death / its own
-  restart;
+* :mod:`repro.serve.master` — the daemon: dispatches client and
+  runner requests, executes one run at a time over the shared pool
+  and any registered runners, streams result rows to subscribers,
+  survives client death / worker death / its own restart;
 * :mod:`repro.serve.client` — the thin client behind ``repro
   submit``, ``repro queue``, ``repro cancel``, and ``repro watch``'s
   live-socket mode.

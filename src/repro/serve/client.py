@@ -1,8 +1,9 @@
 """Thin client for the ``repro serve`` master.
 
-One connection, one in-flight request at a time — which is all the
-CLI ever needs — plus a generator over the stream events the master
-pushes for subscribed runs.  Stream events that arrive while a
+:class:`ServeClient` is the wire's one
+:class:`~repro.serve.protocol.LineClient` on the master's Unix
+socket, plus named methods and a generator over the stream events the
+master pushes for subscribed runs.  Stream events that arrive while a
 response is awaited are buffered, so request/response and streaming
 can share the socket without a demultiplexer.
 
@@ -17,8 +18,8 @@ socket and ``status.json`` polling.
 import os
 import socket
 
-from repro.serve import protocol
 from repro.serve.master import SOCKET_NAME, read_contact
+from repro.serve.protocol import LineClient, ServeError
 from repro.serve.scheduler import default_state_dir
 
 __all__ = ["ServeClient", "ServeError", "find_socket",
@@ -26,15 +27,6 @@ __all__ = ["ServeClient", "ServeError", "find_socket",
 
 #: Environment variable naming the master socket for thin clients.
 SOCKET_ENV = "REPRO_SERVE_SOCKET"
-
-
-class ServeError(Exception):
-    """An error response from the master (or a broken conversation)."""
-
-    def __init__(self, code, message):
-        super().__init__(f"{code}: {message}")
-        self.code = code
-        self.message = message
 
 
 def find_socket(explicit=None, state_dir=None):
@@ -55,101 +47,34 @@ def server_available(socket_path, timeout=1.0):
     """Whether a master is actually accepting on ``socket_path``."""
     if not socket_path or not hasattr(socket, "AF_UNIX"):
         return False
-    probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    probe.settimeout(timeout)
     try:
-        probe.connect(socket_path)
-        return True
+        LineClient(("unix", socket_path, None),
+                   connect_timeout=timeout).close()
     except OSError:
         return False
-    finally:
-        probe.close()
+    return True
 
 
-class ServeClient:
+class ServeClient(LineClient):
     """One conversation with the master (use as a context manager)."""
 
     def __init__(self, socket_path, timeout=60.0):
+        super().__init__(("unix", socket_path, None), timeout=timeout,
+                         connect_timeout=timeout)
         self.socket_path = socket_path
-        self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._sock.settimeout(timeout)
-        self._sock.connect(socket_path)
-        self._reader = protocol.LineReader()
-        self._lines = []
-        self._stream_buffer = []
-        self._next_id = 0
-
-    # -- plumbing ----------------------------------------------------------
-
-    def close(self):
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-
-    def _read_message(self):
-        while True:
-            if self._lines:
-                line = self._lines.pop(0)
-                if isinstance(line, protocol.Oversized):
-                    raise ServeError(
-                        protocol.E_OVERSIZED,
-                        f"master sent an oversized line ({line.size} "
-                        f"bytes)")
-                return protocol.decode(line)
-            try:
-                data = self._sock.recv(65536)
-            except socket.timeout:
-                raise ServeError(
-                    "timeout", f"no reply from {self.socket_path} "
-                               f"within the socket timeout") from None
-            if not data:
-                raise ServeError("disconnected",
-                                 "master closed the connection")
-            self._lines.extend(self._reader.feed(data))
-
-    # -- requests ----------------------------------------------------------
 
     def request(self, method, **params):
         """One RPC round-trip; returns the result dict or raises
         :class:`ServeError`.  Stream events that arrive first are
         buffered for :meth:`events`."""
-        self._next_id += 1
-        request_id = self._next_id
-        self._sock.sendall(protocol.encode(
-            protocol.request(method, params, request_id=request_id)))
-        while True:
-            message = self._read_message()
-            if "stream" in message:
-                self._stream_buffer.append(message)
-                continue
-            if message.get("id") != request_id:
-                continue  # a stale reply; not ours
-            if message.get("ok"):
-                return message.get("result")
-            error = message.get("error") or {}
-            raise ServeError(error.get("code", "unknown"),
-                             error.get("message", "(no message)"))
-
-    # -- streaming ---------------------------------------------------------
+        return self.call(method, params)
 
     def events(self, rid=None):
         """Yield stream events (optionally only for ``rid``) until the
         run reports a state event; the state event is yielded last."""
         from repro.serve import scheduler as sched
         while True:
-            if self._stream_buffer:
-                message = self._stream_buffer.pop(0)
-            else:
-                message = self._read_message()
-                if "stream" not in message:
-                    continue  # unsolicited response; drop
+            message = self.next_event()
             if rid is not None and message.get("stream") != rid:
                 continue
             yield message
@@ -165,17 +90,12 @@ class ServeClient:
     def submit(self, spec, priority=0, stream=False, jobs=None,
                point_timeout_s=None, chunk_size=None, out=None):
         """Submit a campaign spec (a dict, explicit points or grid
-        shorthand); returns ``{rid, state, store, points, priority}``."""
-        params = {"spec": spec, "priority": priority, "stream": stream}
-        if jobs is not None:
-            params["jobs"] = jobs
-        if point_timeout_s is not None:
-            params["point_timeout_s"] = point_timeout_s
-        if chunk_size is not None:
-            params["chunk_size"] = chunk_size
-        if out is not None:
-            params["out"] = out
-        return self.request("submit", **params)
+        shorthand); returns ``{rid, state, store, points, priority}``.
+        ``None`` options travel as JSON nulls: the master's default."""
+        return self.request("submit", spec=spec, priority=priority,
+                            stream=stream, jobs=jobs,
+                            point_timeout_s=point_timeout_s,
+                            chunk_size=chunk_size, out=out)
 
     def queue(self):
         return self.request("queue")["runs"]

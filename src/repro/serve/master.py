@@ -4,8 +4,13 @@ A :class:`Master` owns the process-wide
 :class:`~repro.perf.service.ExecutionService` — warm stepper caches
 and the persistent, pre-forked
 :class:`~repro.campaign.pool.WorkerPool` — and serves it to any
-number of thin clients over a local Unix-domain socket speaking the
-line-JSON RPC of :mod:`repro.serve.protocol`.  Submitted campaigns
+number of thin clients over a local Unix-domain socket.  The socket
+is the wire's one :class:`~repro.serve.protocol.LineServer` with one
+:meth:`~Master._dispatch`: ``runner_*`` methods go to the runner hub
+(runners may register here, alongside clients), everything else to an
+``_rpc_*`` method.  With ``runners`` set, a second instance of the
+same server opens the TCP runner port, which answers ``runner_*``
+only (:func:`~repro.campaign.remote.serve_runners`).  Submitted campaigns
 flow through a persistent priority queue
 (:class:`~repro.serve.scheduler.Scheduler`): one run executes at a
 time over the shared shards, results stream to subscribed clients as
@@ -27,9 +32,9 @@ Failure semantics (each backed by a test in ``tests/test_serve.py``):
   are on disk before clients hear about them, so a restarted master
   requeues interrupted runs and resumes them from their own stores —
   same run id, already-completed points never re-run.
-* **Malformed input** gets a structured error response; the
-  connection (and the master) survive anything that arrives on the
-  socket.
+* **Malformed input** gets a structured error response, the same on
+  both ports; the connection (and the master) survive anything that
+  arrives on either socket.
 
 Cancel, pause, and graceful shutdown all ride the executor's
 ``abort`` hook: the campaign stops at the next point boundary, the
@@ -39,6 +44,7 @@ of point identity, so it cannot matter how many masters a run passed
 through.
 """
 
+import functools
 import json
 import os
 import socket
@@ -48,6 +54,7 @@ import time
 from repro.campaign.executor import CampaignAborted
 from repro.campaign.spec import CampaignSpec
 from repro.common.errors import ConfigError
+from repro.common.files import atomic_write
 from repro.obs.events import event_log
 from repro.obs.live import LiveStatus, status_path_for
 from repro.serve import protocol, scheduler as sched
@@ -78,21 +85,6 @@ def read_contact(state_dir):
     return contact
 
 
-class _Client:
-    """One connected client: its socket plus a write lock (responses
-    and broadcast events come from different threads)."""
-
-    def __init__(self, conn, peer):
-        self.conn = conn
-        self.peer = peer
-        self.send_lock = threading.Lock()
-
-    def send(self, message):
-        data = protocol.encode(message)
-        with self.send_lock:
-            self.conn.sendall(data)
-
-
 class Master:
     """The long-lived campaign master (see module docstring).
 
@@ -112,24 +104,24 @@ class Master:
             service = get_service()
         self.service = service
         # Remote runner support: the hub always exists (runners may
-        # register over this Unix socket too); the TCP listener only
-        # binds when `runners` names a "[HOST:]PORT".
-        from repro.campaign.remote import RunnerHub
+        # register over this Unix socket too); the TCP runner port only
+        # opens when `runners` names a "[HOST:]PORT".
+        from repro.campaign.remote import RunnerHub, handle_runner_method
         self.hub = RunnerHub(lease_timeout_s=lease_timeout_s)
+        self._runner_method = functools.partial(handle_runner_method,
+                                                self.hub)
         self.runners_address = runners
-        self.listener = None
+        self.server = None         # the Unix socket
+        self.runner_server = None  # the runner-only TCP port
         self.scheduler = None
-        self._sock = None
         self._shutdown = threading.Event()
         self._threads = []
-        self._clients = []
-        self._clients_lock = threading.Lock()
         # Guards the subscriber table *and* orders submit-vs-broadcast:
         # a submit registers its subscription under this lock before
         # the executor can announce the run, so streams never miss the
         # first events.
         self._sub_lock = threading.Lock()
-        self._subs = {}   # rid -> [_Client]
+        self._subs = {}   # rid -> [Connection]
         self._live = {}   # rid -> LiveStatus of the executing run
         self._started = None
 
@@ -145,55 +137,35 @@ class Master:
                                                 "rid_counter"))
         self.scheduler = sched.Scheduler(registry, counter)
         recovered = self.scheduler.recover()
-        self._claim_socket()
-        if self.runners_address is not None:
-            from repro.campaign.remote import (RunnerListener,
-                                               parse_address)
-            _, host, port = parse_address(str(self.runners_address))
-            self.listener = RunnerListener(self.hub, host=host,
-                                           port=port or 0).start()
         self._started = time.time()
+        self.server = protocol.LineServer(
+            ("unix", self.socket_path, None), self._dispatch,
+            on_close=self._drop_client, name="serve")
+        if self.runners_address is not None:
+            from repro.campaign.remote import serve_runners
+            try:
+                self.runner_server = serve_runners(self.hub,
+                                                   self.runners_address)
+            except OSError:
+                self.server.stop()
+                raise
         contact = {
             "schema": protocol.PROTOCOL_SCHEMA, "pid": os.getpid(),
             "socket": self.socket_path, "state_dir": self.state_dir,
             "started_unix": self._started,
         }
-        if self.listener is not None:
-            contact["runners"] = self.listener.address
-        sched._atomic_write_json(contact_path(self.state_dir), contact)
+        if self.runner_server is not None:
+            contact["runners"] = self.runner_server.address
+        atomic_write(contact_path(self.state_dir),
+                     json.dumps(contact, sort_keys=True) + "\n")
         event_log().emit("serve_start", socket=self.socket_path,
                          state_dir=self.state_dir,
                          recovered=[r.rid for r in recovered])
-        for target, name in ((self._accept_loop, "serve-accept"),
-                             (self._executor_loop, "serve-executor")):
-            thread = threading.Thread(target=target, name=name,
-                                      daemon=True)
-            thread.start()
-            self._threads.append(thread)
+        thread = threading.Thread(target=self._executor_loop,
+                                  name="serve-executor", daemon=True)
+        thread.start()
+        self._threads.append(thread)
         return recovered
-
-    def _claim_socket(self):
-        """Bind the Unix socket, evicting only a *dead* predecessor."""
-        if os.path.exists(self.socket_path):
-            probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            probe.settimeout(1.0)
-            try:
-                probe.connect(self.socket_path)
-            except OSError:
-                os.unlink(self.socket_path)  # stale: owner is gone
-            else:
-                probe.close()
-                raise RuntimeError(
-                    f"another master is already serving on "
-                    f"{self.socket_path}")
-            finally:
-                probe.close()
-        directory = os.path.dirname(os.path.abspath(self.socket_path))
-        os.makedirs(directory, exist_ok=True)
-        self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._sock.bind(self.socket_path)
-        self._sock.listen(16)
-        self._sock.settimeout(0.2)  # poll the shutdown flag
 
     def request_shutdown(self):
         """Ask the master to stop (signal-handler safe: sets a flag)."""
@@ -205,142 +177,47 @@ class Master:
             pass
         self._teardown()
 
-    def stop(self, timeout=30.0):
-        """Request shutdown and wait for the threads (tests)."""
+    def stop(self):
+        """Request shutdown and tear down at once (tests)."""
         self._shutdown.set()
-        deadline = time.monotonic() + timeout
-        for thread in self._threads:
-            thread.join(max(0.1, deadline - time.monotonic()))
         self._teardown()
 
     def _teardown(self):
         for thread in self._threads:
             thread.join(timeout=30.0)
         self._threads = []
-        with self._clients_lock:
-            clients = list(self._clients)
-        for client in clients:
-            try:
-                # shutdown() (unlike a bare close()) wakes a reader
-                # thread blocked in recv() on this connection
-                client.conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                client.conn.close()
-            except OSError:
-                pass
-        if self.listener is not None:
-            self.listener.stop()
-            self.listener = None
+        for server in (self.server, self.runner_server):
+            if server is not None:
+                server.stop()
+        self.server = self.runner_server = None
         self.service.shutdown()
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-        for path in (self.socket_path, contact_path(self.state_dir)):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        event_log().emit("serve_stop", socket=self.socket_path)
-
-    # -- accepting and speaking to clients ---------------------------------
-
-    def _accept_loop(self):
-        while not self._shutdown.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            client = _Client(conn, peer=f"fd{conn.fileno()}")
-            with self._clients_lock:
-                self._clients.append(client)
-            event_log().emit("serve_client_connect", peer=client.peer)
-            thread = threading.Thread(target=self._client_loop,
-                                      args=(client,),
-                                      name=f"serve-{client.peer}",
-                                      daemon=True)
-            thread.start()
-
-    def _client_loop(self, client):
-        reader = protocol.LineReader()
         try:
-            # Serve until either side closes — NOT until the shutdown
-            # flag flips: a graceful shutdown must answer in-flight
-            # requests with a structured ``shutting_down`` error, not
-            # a connection reset.  Teardown wakes this loop by
-            # shutting the socket down.
-            while True:
-                try:
-                    data = client.conn.recv(65536)
-                except OSError:
-                    break
-                if not data:
-                    break
-                for item in reader.feed(data):
-                    if isinstance(item, protocol.Oversized):
-                        self._safe_send(client, protocol.error_response(
-                            None, protocol.E_OVERSIZED,
-                            f"line exceeded "
-                            f"{protocol.MAX_LINE_BYTES} bytes "
-                            f"({item.size} seen); frame dropped"))
-                        continue
-                    self._handle_line(client, item)
-        finally:
-            self._drop_client(client)
-
-    def _safe_send(self, client, message):
-        try:
-            client.send(message)
-            return True
-        except (OSError, ProtocolError):
-            return False
-
-    def _handle_line(self, client, line):
-        """One frame in, exactly one response out — whatever happens."""
-        request_id = None
-        try:
-            frame = protocol.decode(line)
-            raw_id = frame.get("id")
-            if isinstance(raw_id, (int, str)) \
-                    and not isinstance(raw_id, bool):
-                request_id = raw_id
-            request_id, method, params = protocol.parse_request(frame)
-            handler = getattr(self, f"_rpc_{method}")
-            result = handler(client, params)
-            self._safe_send(client,
-                            protocol.response(request_id, result))
-        except ProtocolError as exc:
-            self._safe_send(client, protocol.error_response(
-                request_id, exc.code, exc.message))
-        except Exception as exc:  # noqa: BLE001 — a master-side bug
-            # must become this request's error, never a dead master.
-            self._safe_send(client, protocol.error_response(
-                request_id, protocol.E_SERVER,
-                f"{type(exc).__name__}: {exc}"))
-
-    def _drop_client(self, client):
-        # A client connection may also carry runner registrations
-        # (runners can register over the Unix socket alongside
-        # clients); its death releases their leases for requeue.
-        self.hub.lost_channel(client)
-        with self._clients_lock:
-            if client in self._clients:
-                self._clients.remove(client)
-        with self._sub_lock:
-            for subscribers in self._subs.values():
-                if client in subscribers:
-                    subscribers.remove(client)
-        try:
-            client.conn.close()
+            os.unlink(contact_path(self.state_dir))
         except OSError:
             pass
-        event_log().emit("serve_client_disconnect", peer=client.peer)
+        event_log().emit("serve_stop", socket=self.socket_path)
+
+    # -- speaking to clients -----------------------------------------------
+
+    def _dispatch(self, conn, method, params):
+        """Route one validated request: runner methods to the hub (same
+        hub whichever port the runner arrived on), run transitions to
+        the scheduler, the rest to ``_rpc_<method>``."""
+        if method in protocol.RUNNER_METHODS:
+            return self._runner_method(conn, method, params)
+        if method in ("cancel", "pause", "requeue"):
+            return self._transition(method, params["rid"])
+        return getattr(self, f"_rpc_{method}")(conn, params)
+
+    def _drop_client(self, conn):
+        # A client connection may also carry runner registrations; its
+        # death releases their leases for requeue.
+        self.hub.lost_channel(conn)
+        with self._sub_lock:
+            for subscribers in self._subs.values():
+                if conn in subscribers:
+                    subscribers.remove(conn)
+        event_log().emit("serve_client_disconnect", peer=conn.peer)
 
     # -- broadcast ---------------------------------------------------------
 
@@ -350,7 +227,7 @@ class Master:
             if final:
                 self._subs.pop(rid, None)
         for client in subscribers:
-            if not self._safe_send(client, message):
+            if not client.send(message):
                 # A dead subscriber is the *client's* problem: drop it
                 # and keep the campaign streaming to everyone else.
                 with self._sub_lock:
@@ -371,28 +248,9 @@ class Master:
             "runs": self.scheduler.counts(),
             "pool": self.service.pool_info(),
             "runners": self.hub.runners_info(),
-            "runner_port": (self.listener.address
-                            if self.listener is not None else None),
+            "runner_port": (self.runner_server.address
+                            if self.runner_server is not None else None),
         }
-
-    # Runner-facing methods: same hub whether a runner arrived over
-    # the TCP listener or this Unix socket.
-
-    def _runner_rpc(self, client, method, params):
-        from repro.campaign.remote import handle_runner_method
-        return handle_runner_method(self.hub, client, method, params)
-
-    def _rpc_runner_register(self, client, params):
-        return self._runner_rpc(client, "runner_register", params)
-
-    def _rpc_runner_lease(self, client, params):
-        return self._runner_rpc(client, "runner_lease", params)
-
-    def _rpc_runner_row(self, client, params):
-        return self._runner_rpc(client, "runner_row", params)
-
-    def _rpc_runner_heartbeat(self, client, params):
-        return self._runner_rpc(client, "runner_heartbeat", params)
 
     def _rpc_submit(self, client, params):
         if self._shutdown.is_set():
@@ -451,26 +309,15 @@ class Master:
                                 f"no run {rid}") from None
 
     def _transition(self, action, rid):
+        self._get_record(rid)
         try:
             record = getattr(self.scheduler, action)(rid)
-        except sched.UnknownRun:
-            raise ProtocolError(protocol.E_NOT_FOUND,
-                                f"no run {rid}") from None
         except sched.BadTransition as exc:
             raise ProtocolError(protocol.E_BAD_STATE, str(exc)) from None
         event_log().emit(f"serve_{action}", rid=rid, state=record.state,
                          interrupt=record.interrupt)
         return {"rid": rid, "state": record.state,
                 "interrupt": record.interrupt}
-
-    def _rpc_cancel(self, client, params):
-        return self._transition("cancel", params["rid"])
-
-    def _rpc_pause(self, client, params):
-        return self._transition("pause", params["rid"])
-
-    def _rpc_requeue(self, client, params):
-        return self._transition("requeue", params["rid"])
 
     def _rpc_subscribe(self, client, params):
         record = self._get_record(params["rid"])

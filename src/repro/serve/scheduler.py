@@ -30,10 +30,11 @@ state changes never have to hunt through the heap.
 import heapq
 import json
 import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
+
+from repro.common.files import atomic_write
 
 __all__ = [
     "BadTransition",
@@ -81,24 +82,6 @@ class UnknownRun(KeyError):
 
 class BadTransition(ValueError):
     """The run exists but the requested transition is illegal."""
-
-
-def _atomic_write_json(path, payload):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, temp_path = tempfile.mkstemp(dir=directory, prefix=".serve-",
-                                     suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
-            handle.write("\n")
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
 
 
 @dataclass
@@ -171,7 +154,7 @@ class RidCounter:
     def next(self):
         with self._lock:
             self._value += 1
-            _atomic_write_json(self.path, self._value)
+            atomic_write(self.path, f"{self._value}\n")
             return self._value
 
 
@@ -190,8 +173,8 @@ class RunRegistry:
         return os.path.join(self.runs_dir, f"{rid}.results.jsonl")
 
     def save(self, record):
-        _atomic_write_json(self.record_path(record.rid),
-                           record.to_dict())
+        atomic_write(self.record_path(record.rid),
+                     json.dumps(record.to_dict(), sort_keys=True) + "\n")
 
     def load(self, rid):
         try:

@@ -32,7 +32,10 @@ PROFILE_NAMES = [profile.name for profile in all_profiles()]
 def _fresh(monkeypatch, no_segmemo=False, no_batch=False):
     """Reset every cross-run cache the perf layers key on."""
     monkeypatch.setenv("REPRO_NO_SEGMEMO", "1" if no_segmemo else "0")
-    monkeypatch.setenv("REPRO_NO_BATCH", "1" if no_batch else "0")
+    if no_batch:
+        monkeypatch.setenv("REPRO_BATCH", "1")
+    else:
+        monkeypatch.delenv("REPRO_BATCH", raising=False)
     _PROGRAM_CACHE.clear()
     segmemo.clear()
 
@@ -138,8 +141,8 @@ def test_forced_eviction_hook_bit_identical(monkeypatch):
 
 
 def test_forced_eviction_env_bit_identical(monkeypatch):
-    """``REPRO_BATCH_FORCE_EVICT`` takes exact (lane, index) pairs, so
-    probe a clean run for real per-lane event indices first."""
+    """Forcing exact (lane, index) pairs through the hook: probe a
+    clean run for real per-lane event indices first."""
     from repro.perf import batch as batch_kernel
 
     points = _points("hmmer", 4, instructions=1_500)
@@ -156,10 +159,9 @@ def test_forced_eviction_env_bit_identical(monkeypatch):
     assert lane1 and lane2, "no per-lane events to force-evict at"
 
     _fresh(monkeypatch)
-    monkeypatch.setattr(batch_kernel, "force_eviction_hook", None)
-    monkeypatch.setenv(
-        "REPRO_BATCH_FORCE_EVICT",
-        f"1:{lane1[len(lane1) // 2]},2:{lane2[len(lane2) // 2]}")
+    forced = {(1, lane1[len(lane1) // 2]), (2, lane2[len(lane2) // 2])}
+    monkeypatch.setattr(batch_kernel, "force_eviction_hook",
+                        lambda lane, index: (lane, index) in forced)
     metrics, stats = run_inject_batch(points, "t")
     assert [json.dumps(m, sort_keys=True) for m in metrics] == reference
     assert stats["evictions"].get("forced") == 2
@@ -231,6 +233,7 @@ class TestCampaignIntegration:
     def test_no_batch_env_disables_grouping(self, monkeypatch):
         _fresh(monkeypatch, no_batch=True)
         assert resolve_batch_lanes(None) == 1
+        monkeypatch.setenv("REPRO_SLOW_KERNEL", "1")
         assert resolve_batch_lanes(64) == 1
 
 
@@ -238,7 +241,6 @@ class TestGrouping:
     def test_resolve_batch_lanes(self, monkeypatch):
         from repro.perf.batch import DEFAULT_BATCH_LANES
 
-        monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
         monkeypatch.delenv("REPRO_BATCH", raising=False)
         assert resolve_batch_lanes(None) == DEFAULT_BATCH_LANES
         assert resolve_batch_lanes("auto") == DEFAULT_BATCH_LANES

@@ -15,8 +15,8 @@ models:
   shard of a mixed fleet — with one outcome on every fleet.
 
 Runners here are mostly hosted in threads of this process (they speak
-real TCP to a real :class:`RunnerListener`, but share the test's task
-registry); the SIGKILL drill uses genuine ``repro runner``
+real TCP to a real :func:`serve_runners` port, but share the test's
+task registry); the SIGKILL drill uses genuine ``repro runner``
 subprocesses because you cannot SIGKILL a thread.
 """
 
@@ -35,8 +35,8 @@ from repro.campaign import (CampaignPoint, CampaignSpec, ResultStore,
                             run_campaign, task)
 from repro.campaign.executor import CampaignAborted
 from repro.campaign.pool import WorkerPool
-from repro.campaign.remote import (RunnerHub, RunnerListener,
-                                   parse_address, run_runner)
+from repro.campaign.remote import (RunnerHub, parse_address,
+                                   run_runner, serve_runners)
 from repro.obs.live import attach_live
 
 SMALL = 1500
@@ -125,7 +125,7 @@ def _runner_main(address, name, kwargs, outcome):
 def thread_fleet(count, hub=None, **runner_kwargs):
     """``count`` in-process runners speaking real TCP to a listener."""
     hub = hub if hub is not None else RunnerHub()
-    listener = RunnerListener(hub, host="127.0.0.1", port=0).start()
+    listener = serve_runners(hub, "127.0.0.1:0")
     kwargs = {"poll_s": 0.01, "reconnect": False}
     kwargs.update(runner_kwargs)
     threads, outcomes = [], []
@@ -418,7 +418,7 @@ class TestLoss:
         spec = echo_spec(name="rem-blip", n=6)
         serial_path, _ = run_to_store(spec, tmp_path, "serial")
         hub = RunnerHub()
-        listener = RunnerListener(hub, host="127.0.0.1", port=0).start()
+        listener = serve_runners(hub, "127.0.0.1:0")
         try:
             first = {}
             t_first = threading.Thread(
@@ -486,7 +486,7 @@ class TestLoss:
         spec = echo_spec(name="rem-wedge", n=6)
         serial_path, _ = run_to_store(spec, tmp_path, "serial")
         hub = RunnerHub(lease_timeout_s=0.3)
-        listener = RunnerListener(hub, host="127.0.0.1", port=0).start()
+        listener = serve_runners(hub, "127.0.0.1:0")
         wedged = hub.register(object(), name="wedged")
         stolen = {}
         failure = {}
@@ -546,7 +546,7 @@ class TestLoss:
         env["PYTHONPATH"] = (src_dir + os.pathsep + env["PYTHONPATH"]
                              if env.get("PYTHONPATH") else src_dir)
         hub = RunnerHub()
-        listener = RunnerListener(hub, host="127.0.0.1", port=0).start()
+        listener = serve_runners(hub, "127.0.0.1:0")
         procs = [subprocess.Popen(
             [sys.executable, "-m", "repro", "runner",
              "--connect", listener.address, "--name", f"sub{i}",
@@ -594,7 +594,7 @@ def subprocess_runners(count):
     env["PYTHONPATH"] = (src_dir + os.pathsep + env["PYTHONPATH"]
                          if env.get("PYTHONPATH") else src_dir)
     hub = RunnerHub()
-    listener = RunnerListener(hub, host="127.0.0.1", port=0).start()
+    listener = serve_runners(hub, "127.0.0.1:0")
     procs = [subprocess.Popen(
         [sys.executable, "-m", "repro", "runner",
          "--connect", listener.address, "--name", f"sub{i}",

@@ -7,9 +7,11 @@ Three layers, in increasing realism:
 * adversarial parsing — truncated JSON, non-objects, mistyped and
   unknown fields, oversized lines, byte-at-a-time framing — each maps
   to the documented structured error, never an uncaught exception;
-* a live master on a real socket fed garbage: every frame gets exactly
-  one structured error, the connection and the master survive, and a
-  rejected ``submit`` never leaks a run id.
+* a live master fed garbage on both of its ports, the serve socket and
+  the TCP runner port: every frame gets exactly one structured error,
+  the same on either port, the connection and the master survive, a
+  rejected ``submit`` never leaks a run id, and the runner port
+  refuses every non-``runner_*`` method.
 """
 
 import json
@@ -282,25 +284,44 @@ class TestLineReader:
         assert reader.feed(b"bc\nfine\n") == [b"fine"]
 
 
-# -- live fuzz against a real master over a real socket --------------------
+# -- live fuzz against a real master, over both of its ports --------------
 
 
 @pytest.fixture(scope="module")
 def fuzz_master():
     state_dir = tempfile.mkdtemp(prefix="fz", dir="/tmp")
-    master = Master(state_dir=state_dir, service=ExecutionService())
+    master = Master(state_dir=state_dir, service=ExecutionService(),
+                    runners="127.0.0.1:0")
     master.start()
     yield master
     master.stop()
 
 
+#: port -> the request a healthy connection on it answers ``ok``: the
+#: serve socket speaks every method, the runner port ``runner_*`` only.
+PROBES = {
+    "serve": ("hello", {}),
+    "runner": ("runner_register", {"name": "fuzz"}),
+}
+
+
+def probe(port, request_id):
+    method, params = PROBES[port]
+    return encode(request(method, params, request_id=request_id))
+
+
 class RawConn:
     """A raw byte-level client (no protocol help beyond buffering)."""
 
-    def __init__(self, master, timeout=10.0):
-        self.conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self.conn.settimeout(timeout)
-        self.conn.connect(master.socket_path)
+    def __init__(self, master, timeout=10.0, port="serve"):
+        if port == "serve":
+            self.conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            self.conn.settimeout(timeout)
+            self.conn.connect(master.socket_path)
+        else:
+            host, _, number = master.runner_server.address.rpartition(":")
+            self.conn = socket.create_connection((host, int(number)),
+                                                 timeout=timeout)
         self.buffer = b""
 
     def sendall(self, raw):
@@ -324,8 +345,8 @@ class RawConn:
         self.close()
 
 
-def raw_conn(master, timeout=10.0):
-    return RawConn(master, timeout=timeout)
+def raw_conn(master, timeout=10.0, port="serve"):
+    return RawConn(master, timeout=timeout, port=port)
 
 
 def transact(conn, raw):
@@ -338,15 +359,35 @@ def read_line(conn):
     return conn.read_line()
 
 
-def master_alive(master):
-    """The master still answers a well-formed hello on a new socket."""
-    with raw_conn(master) as conn:
-        reply = transact(conn, encode(request("hello", request_id=1)))
+def master_alive(master, port="serve"):
+    """The port still answers its probe on a new connection."""
+    with raw_conn(master, port=port) as conn:
+        reply = transact(conn, probe(port, 1))
     return reply["ok"]
 
 
-@pytest.mark.quick
-class TestLiveMasterFuzz:
+#: Serve-socket frames that name a client method, rephrased in
+#: ``runner_*`` methods for the runner port: the same malformation.
+RUNNER_PORT_FRAMES = {
+    b'{"id": 1, "method": "cancel", "params": {"rid": true}}\n':
+        b'{"id": 1, "method": "runner_lease", "params": {"runner": true}}\n',
+    b'{"id": 1, "method": "submit", "params": {}}\n':
+        b'{"id": 1, "method": "runner_row", "params": {}}\n',
+    b'{"id": true, "method": "hello"}\n':
+        b'{"id": true, "method": "runner_lease"}\n',
+}
+
+
+class FramingBattery:
+    """The framing half of the live fuzz battery, run once per port
+    (one subclass each): one server answers both, so every
+    malformation must earn the same reply on either."""
+
+    port = None
+
+    def conn(self, master, timeout=10.0):
+        return raw_conn(master, timeout=timeout, port=self.port)
+
     @pytest.mark.parametrize("raw,code", [
         (b"garbage\n", "parse_error"),
         (b'{"truncated": \n', "parse_error"),
@@ -361,39 +402,44 @@ class TestLiveMasterFuzz:
     ])
     def test_malformed_frame_gets_structured_error(self, fuzz_master,
                                                    raw, code):
-        with raw_conn(fuzz_master) as conn:
+        if self.port == "runner":
+            raw = RUNNER_PORT_FRAMES.get(raw, raw)
+        with self.conn(fuzz_master) as conn:
             reply = transact(conn, raw)
             assert reply["ok"] is False
             assert reply["error"]["code"] == code
             # same connection still serves a good request afterwards
-            reply = transact(conn, encode(request("hello",
-                                                  request_id=2)))
+            reply = transact(conn, probe(self.port, 2))
             assert reply["ok"] and reply["id"] == 2
 
     def test_error_echoes_request_id_when_recoverable(self, fuzz_master):
-        with raw_conn(fuzz_master) as conn:
+        with self.conn(fuzz_master) as conn:
             reply = transact(
                 conn, b'{"id": 77, "method": "definitely_not"}\n')
             assert reply["id"] == 77
             reply = transact(conn, b'{"id": "str-id", "method": "x"}\n')
             assert reply["id"] == "str-id"
+            # a known method with bad params echoes its id too
+            reply = transact(conn, b'{"id": 7, "method": "runner_lease", '
+                                   b'"params": {}}\n')
+            assert reply["error"]["code"] == "bad_params"
+            assert reply["id"] == 7
             # unparseable frames cannot echo an id
             reply = transact(conn, b"{{{\n")
             assert reply["id"] is None
 
     def test_oversized_line_survives_connection(self, fuzz_master):
-        with raw_conn(fuzz_master, timeout=30.0) as conn:
+        with self.conn(fuzz_master, timeout=30.0) as conn:
             flood = b"x" * (MAX_LINE_BYTES + 100) + b"\n"
             reply = transact(conn, flood)
             assert reply["ok"] is False
             assert reply["error"]["code"] == "oversized"
-            reply = transact(conn, encode(request("queue",
-                                                  request_id=3)))
-            assert reply["ok"] and reply["result"]["runs"] == []
+            reply = transact(conn, probe(self.port, 3))
+            assert reply["ok"] and reply["id"] == 3
 
     def test_interleaved_partial_writes(self, fuzz_master):
-        wire = encode(request("hello", request_id=5))
-        with raw_conn(fuzz_master) as conn:
+        wire = probe(self.port, 5)
+        with self.conn(fuzz_master) as conn:
             for start in range(0, len(wire), 3):
                 conn.sendall(wire[start:start + 3])
                 time.sleep(0.002)
@@ -401,12 +447,67 @@ class TestLiveMasterFuzz:
             assert reply["ok"] and reply["id"] == 5
 
     def test_pipelined_requests_answered_in_order(self, fuzz_master):
-        wire = b"".join(encode(request("hello", request_id=i))
-                        for i in range(1, 6))
-        with raw_conn(fuzz_master) as conn:
+        wire = b"".join(probe(self.port, i) for i in range(1, 6))
+        with self.conn(fuzz_master) as conn:
             conn.sendall(wire)
             for expected in range(1, 6):
                 assert read_line(conn)["id"] == expected
+
+    def test_dropped_connection_releases_runner_leases(self, fuzz_master):
+        class Drive:
+            """Hands out one empty unit per lease; records releases."""
+
+            def __init__(self):
+                self.released = []
+
+            def lease_payload(self, owner):
+                return {"chunk": 0, "epoch": 0, "campaign": "fuzz",
+                        "timeout_s": None, "points": []}
+
+            def release(self, owner):
+                self.released.append(owner)
+                return []
+
+        drive = Drive()
+        fuzz_master.hub.attach(drive)
+        try:
+            with self.conn(fuzz_master) as conn:
+                runner = transact(conn, probe("runner", 1))[
+                    "result"]["runner"]
+                reply = transact(conn, encode(request(
+                    "runner_lease", {"runner": runner}, request_id=2)))
+                assert reply["result"]["work"]["chunk"] == 0
+            deadline = time.monotonic() + 10.0
+            while (("runner", runner) not in drive.released
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+        finally:
+            fuzz_master.hub.detach()
+        assert drive.released == [("runner", runner)]
+
+    def test_abrupt_disconnect_mid_frame(self, fuzz_master):
+        conn = self.conn(fuzz_master)
+        conn.sendall(probe(self.port, 1)[:12])   # never finished
+        conn.close()                             # client vanishes
+        time.sleep(0.1)
+        assert master_alive(fuzz_master, port=self.port)
+
+    def test_random_binary_noise(self, fuzz_master):
+        from repro.common.prng import DeterministicRng
+        rng = DeterministicRng("serve-fuzz")
+        with self.conn(fuzz_master, timeout=30.0) as conn:
+            for trial in range(20):
+                size = rng.randint(1, 200)
+                noise = bytes(rng.randint(0, 255) for _ in range(size))
+                conn.sendall(noise.replace(b"\n", b" ") + b"\n")
+                reply = read_line(conn)
+                assert reply["ok"] is False, noise
+        assert master_alive(fuzz_master, port=self.port)
+
+
+@pytest.mark.quick
+class TestLiveMasterFuzz(FramingBattery):
+    port = "serve"
 
     def test_rejected_submit_leaks_no_rid(self, fuzz_master):
         bad_specs = [
@@ -433,26 +534,33 @@ class TestLiveMasterFuzz:
                 assert reply["ok"] is False
                 assert reply["error"]["code"] == "not_found"
 
-    def test_abrupt_disconnect_mid_frame(self, fuzz_master):
-        conn = raw_conn(fuzz_master)
-        conn.sendall(b'{"id": 1, "method": "hel')   # never finished
-        conn.close()                                 # client vanishes
-        time.sleep(0.1)
-        assert master_alive(fuzz_master)
-
-    def test_random_binary_noise(self, fuzz_master):
-        from repro.common.prng import DeterministicRng
-        rng = DeterministicRng("serve-fuzz")
-        with raw_conn(fuzz_master, timeout=30.0) as conn:
-            for trial in range(20):
-                size = rng.randint(1, 200)
-                noise = bytes(rng.randint(0, 255) for _ in range(size))
-                conn.sendall(noise.replace(b"\n", b" ") + b"\n")
-                reply = read_line(conn)
-                assert reply["ok"] is False, noise
-        assert master_alive(fuzz_master)
-
     def test_master_survived_the_whole_battery(self, fuzz_master):
         # Runs last in file order within the class; a sanity seal.
         assert master_alive(fuzz_master)
         assert fuzz_master.scheduler.queue_snapshot() == []
+
+
+@pytest.mark.quick
+class TestLiveRunnerPortFuzz(FramingBattery):
+    port = "runner"
+
+    def test_runner_port_refuses_client_methods(self, fuzz_master):
+        before = fuzz_master.scheduler.counter.value
+        refused = [
+            request("submit", {"spec": {"name": "x", "points": []}},
+                    request_id=1),
+            request("shutdown", request_id=2),
+            request("hello", request_id=3),
+        ]
+        with self.conn(fuzz_master) as conn:
+            for frame in refused:
+                reply = transact(conn, encode(frame))
+                assert reply["ok"] is False
+                assert reply["error"]["code"] == "bad_request"
+                assert reply["id"] == frame["id"]
+            reply = transact(conn, probe(self.port, 4))
+            assert reply["ok"] and reply["id"] == 4
+        assert not fuzz_master._shutdown.is_set()
+        assert fuzz_master.scheduler.counter.value == before
+        assert master_alive(fuzz_master, port=self.port)
+        assert master_alive(fuzz_master)
