@@ -84,6 +84,18 @@ def _pool_worker(worker_id, conn, warm):
     log.emit("shard_exit", worker=worker_id)
 
 
+def _reap(proc, timeout):
+    """Join ``proc``, escalating to SIGTERM and then SIGKILL when it
+    outlives ``timeout``; returns only once the process is reaped."""
+    proc.join(timeout=timeout)
+    if proc.is_alive():
+        proc.terminate()
+        proc.join(timeout=timeout)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+
+
 def _mp_context():
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
@@ -194,10 +206,7 @@ class WorkerPool:
     def _replace(self, worker_id, drive):
         """Reap a dead shard, release its lease, and fork a new one."""
         proc = self._procs[worker_id]
-        proc.join(timeout=5.0)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=5.0)
+        _reap(proc, 5.0)
         log = event_log()
         log.emit("shard_death", worker=worker_id, child_pid=proc.pid,
                  exitcode=proc.exitcode)
@@ -219,9 +228,7 @@ class WorkerPool:
             except OSError:
                 pass
         for proc, conn in zip(self._procs, self._conns):
-            proc.join(timeout=join_timeout)
-            if proc.is_alive():
-                proc.terminate()
+            _reap(proc, join_timeout)
             conn.close()
 
     def __enter__(self):

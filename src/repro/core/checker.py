@@ -102,11 +102,15 @@ class CheckerRun:
         if slow_kernel_enabled():
             self._decoded = None
             self._replay = None
+            self._pipe = None
         else:
-            from repro.perf.jit import build_replay_steps
+            from repro.perf.jit import replay_context, replay_table
             self._decoded = decode_program(program)
-            # Fused replay+timing closures, cached on the pipeline.
-            self._replay = build_replay_steps(self._decoded, pipeline)
+            # Fused replay+timing closures, shared by every pipeline
+            # with this one's timing constants; the pipeline's own
+            # state rides along on each call.
+            self._replay = replay_table(self._decoded, pipeline)
+            self._pipe = replay_context(pipeline)
 
         srcp = segment.srcp
         # The checker's state comes from the forwarded SRCP — including
@@ -210,6 +214,7 @@ class CheckerRun:
             # Fast kernel: fused replay+timing closures, one call per
             # instruction, batched across the whole allowed prefix.
             replay = self._replay
+            pipe = self._pipe
             dec_entries = decoded.entries
             base = decoded.base
             n = len(dec_entries)
@@ -239,7 +244,7 @@ class CheckerRun:
                     delivery = deliveries[next_entry]
                     self.next_entry = next_entry + 1
                     complete, mismatch = replay[idx](state, pc, entry,
-                                                     delivery)
+                                                     delivery, pipe)
                     self.executed = executed + 1
                     consume = complete if complete > delivery else delivery
                     if self._skip_consume:
@@ -268,7 +273,7 @@ class CheckerRun:
                             rec.complete_rel.append(complete - rec.start)
                             rec.is_load.append(is_load)
                 else:
-                    replay[idx](state, pc, None, None)
+                    replay[idx](state, pc, None, None, pipe)
                     self.executed = executed + 1
                     if rec is not None:
                         rec.pcs.append(pc)

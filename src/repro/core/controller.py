@@ -79,12 +79,13 @@ class MeekController:
         self._initialized = False
         # Fast kernel: batch checker replay.  The checker's progress is
         # only observable to the big core through LSL consumption times
-        # (the credit-full check below) and the close-time verdict, and
+        # (the credit-full check) and the close-time verdict, and
         # neither depends on *when* advance() runs — the pipeline model
         # is driven by delivery times, not wall order.  So the fast
-        # kernel advances only at log-producing commits and at segment
-        # close, replaying whole runs of ALU work per call; the slow
-        # kernel keeps the naive advance-every-commit loop.
+        # kernel advances only when the credit check could fire (see
+        # _lsl_credit_full) and at segment close, replaying whole runs
+        # of work per call; the slow kernel keeps the naive
+        # advance-every-commit loop as the oracle.
         self._eager_advance = slow_kernel_enabled()
         # Hook-path elimination (fast kernel): the fused steppers share
         # this cell — ``[instr_count, close_budget]`` — and absorb
@@ -194,7 +195,7 @@ class MeekController:
             logged = False
 
         seg.instr_count += 1
-        if logged or self._eager_advance:
+        if self._eager_advance:
             self.checkers[seg.seg_id].advance()
 
         reason = None
@@ -229,12 +230,20 @@ class MeekController:
             self._close_segment(end_cycle, SegmentEndReason.PROGRAM_END, 0)
         elif self.active is not None:
             # An empty segment needs no verification.
-            checker = self.checkers.get(self.active.seg_id)
-            if checker is not None:
-                checker.abandon_recording()
+            self.abandon_recording()
             self.active = None
         drain = max(self.core_free) if self.core_free else end_cycle
         return max(drain, end_cycle)
+
+    def abandon_recording(self):
+        """Retire the active segment's in-flight memo recording, if any
+        (an empty trailing segment, a run that unwinds, a lane leaving
+        its batch), so no later run follows a leader that will never
+        progress."""
+        if self.active is not None:
+            checker = self.checkers.get(self.active.seg_id)
+            if checker is not None:
+                checker.abandon_recording()
 
     # -- internals -------------------------------------------------------------
 
@@ -254,8 +263,21 @@ class MeekController:
 
     def _lsl_credit_full(self, seg, now):
         """LSL-full RCP trigger, credit-based: entries sent minus
-        entries the checker has consumed by ``now``."""
+        entries the checker has consumed by ``now``.
+
+        Fast kernel: the checker advances on demand.  Its known
+        consumption times only grow, so the outstanding count against
+        them is an upper bound on the count after an advance.  While
+        that bound is below capacity and at most the peak already
+        seen, neither the trigger nor ``peak_occupancy`` can change,
+        and the advance waits for a later record or the segment close.
+        """
         lsl = self.lsls[seg.assigned_core]
+        if not self._eager_advance:
+            bound = lsl.outstanding_bound(now)
+            if bound < lsl.capacity and bound <= lsl.peak_occupancy:
+                return False
+            self.checkers[seg.seg_id].advance()
         return lsl.outstanding(now) >= lsl.capacity
 
     def _open_segment(self, t, start_pc):

@@ -70,11 +70,16 @@ class LoadStoreLog:
         flight) counts against capacity until the checker has consumed
         it by cycle ``now``.  This is the big core's flow-control view,
         used for the LSL-full RCP trigger."""
-        consumed = bisect.bisect_right(self._consume_times, now)
-        outstanding = len(self._delivery_times) - consumed
+        outstanding = self.outstanding_bound(now)
         if outstanding > self.peak_occupancy:
             self.peak_occupancy = outstanding
         return outstanding
+
+    def outstanding_bound(self, now):
+        """:meth:`outstanding` without the peak update: an upper bound
+        on it for as long as consumptions are still to be recorded."""
+        return (len(self._delivery_times)
+                - bisect.bisect_right(self._consume_times, now))
 
     def stats(self):
         return {

@@ -40,6 +40,7 @@ pins memo-on and memo-off bit-identical.
 """
 
 import os
+import threading
 
 #: Sentinel: the summary cannot describe this segment; re-execute.
 FALLBACK = object()
@@ -53,10 +54,13 @@ _store = {}
 #: decoded-program object -> {segment fingerprint -> _Recording}.
 #: In-flight recordings.  The batched kernel's lanes run in lockstep
 #: with a stable lane order, so the first lane to open a segment (the
-#: leader) replays and records each entry strictly before its sibling
-#: lanes reach the same entry — siblings attach as *followers* and
-#: validate against the growing recording instead of re-executing,
-#: settling from the committed summary once the leader closes cleanly.
+#: leader) has logged each entry before its sibling lanes reach the
+#: same entry — siblings attach as *followers* and validate against
+#: the growing recording instead of re-executing, settling from the
+#: committed summary once the leader closes cleanly.  A follower only
+#: follows a leader of its own thread: it drives that leader's replay
+#: forward itself (leaders advance on demand), which is only sound
+#: when the two never run concurrently.
 _inflight = {}
 
 
@@ -91,12 +95,17 @@ class _Recording:
 
     __slots__ = ("key", "pcs", "positions", "recs", "complete_rel",
                  "is_load", "start", "entry_line", "div0", "fpu0",
-                 "busy0", "misses0", "summary", "abandoned")
+                 "busy0", "misses0", "summary", "abandoned", "owner",
+                 "thread")
 
-    def __init__(self, key, start, entry_line, pipeline):
+    def __init__(self, key, start, entry_line, owner):
+        pipeline = owner.pipeline
         self.key = key
         self.summary = None
         self.abandoned = False
+        #: The leader's CheckerRun while the recording is in flight.
+        self.owner = owner
+        self.thread = threading.get_ident()
         self.pcs = []
         self.positions = []
         self.recs = []
@@ -111,16 +120,12 @@ class _Recording:
 
 
 def _pipeline_key(pipeline):
-    key = getattr(pipeline, "_memo_cfg_key", None)
-    if key is None:
-        icache = pipeline.icache
-        key = (pipeline.ratio, pipeline._miss_penalty, pipeline._div_busy,
-               pipeline._fdiv_busy, pipeline._fp_lat, pipeline._fp_occ,
-               pipeline._mul_lat, pipeline._load_data_lat,
-               pipeline._branch_pen, icache._offset_bits,
-               icache.num_sets, icache._ways)
-        pipeline._memo_cfg_key = key
-    return key
+    """The replay timing constants plus the icache geometry (residency
+    of the recorded touch set depends on it)."""
+    from repro.perf.jit import replay_constants
+
+    icache = pipeline.icache
+    return replay_constants(pipeline) + (icache.num_sets, icache._ways)
 
 
 def _segment_key(run):
@@ -158,7 +163,8 @@ def prepare(run):
     infl = _inflight.get(run._decoded)
     if infl is not None:
         rec = infl.get(key)
-        if rec is not None and not rec.abandoned:
+        if (rec is not None and not rec.abandoned
+                and rec.thread == threading.get_ident()):
             run._follow = rec
             # Incremental icache-residency verification state: the
             # leader's relative schedule assumes every fetch hits, so
@@ -168,7 +174,7 @@ def prepare(run):
             run._follow_line = pipeline._ic_line[0]
             return
     if run._memo_record:
-        rec = _Recording(key, start, pipeline._ic_line[0], pipeline)
+        rec = _Recording(key, start, pipeline._ic_line[0], run)
         run._rec = rec
         if infl is None:
             infl = _inflight[run._decoded] = {}
@@ -188,6 +194,7 @@ def abandon(run):
 
 
 def _unregister(decoded, rec):
+    rec.owner = None
     infl = _inflight.get(decoded)
     if infl is not None and infl.get(rec.key) is rec:
         del infl[rec.key]
@@ -198,15 +205,24 @@ def _unregister(decoded, rec):
 def follow_advance(run):
     """Advance a follower against its leader's in-flight recording.
 
-    Validates entries exactly as :func:`memo_advance` does — the
-    leader has always replayed at least as far as the follower is
-    allowed to, because lanes advance in a fixed order within each
-    lockstep commit — and settles from the committed summary once the
-    leader closes.  Any leader misadventure (abandoned recording,
-    missing summary at close, diverged entry) returns
-    :data:`FALLBACK`.
+    Validates entries exactly as :func:`memo_advance` does, and
+    settles from the committed summary once the leader closes.  The
+    leader advances on demand, so the follower first drives the
+    leader's replay as far as the leader's log allows; lanes log in a
+    fixed order within each lockstep commit, so that covers every
+    entry the follower may consume.  Any leader misadventure
+    (abandoned recording, missing summary at close, diverged entry)
+    returns :data:`FALLBACK`.
     """
     rec = run._follow
+    leader = rec.owner
+    if leader is not None:
+        leader.advance()
+        if leader.pipeline.icache.misses != rec.misses0:
+            # The leader's fetches missed: its relative schedule carries
+            # miss penalties this follower's resident lines would not
+            # pay, and the recording can never commit.
+            abandon(leader)
     pipeline = run.pipeline
     probe = pipeline.icache.probe
     if rec.summary is not None:

@@ -153,10 +153,17 @@ class MeekSystem:
         state = ArchState(pc=program.entry_pc)
         program.data.apply(state.memory)
         self.attach(program, state)
-        big_result = self.big_core.run(
-            program, max_instructions=max_instructions,
-            commit_hook=self.controller.commit_hook, initial_state=state)
-        return self.finish(big_result)
+        try:
+            big_result = self.big_core.run(
+                program, max_instructions=max_instructions,
+                commit_hook=self.controller.commit_hook,
+                initial_state=state)
+            return self.finish(big_result)
+        finally:
+            # A run that unwinds (an error, the per-point timeout)
+            # leaves no memo recording in flight; after finish() there
+            # is none left to retire.
+            self.controller.abandon_recording()
 
 
 def run_vanilla(program, big_config=None, max_instructions=None):

@@ -52,6 +52,9 @@ class LittleCorePipeline:
         # profiler flagged — no tuple allocation per lookup.
         self._int_ready = [0] * 32
         self._fp_ready = [0] * 32
+        # Last I-cache line the fast kernel's replay fetched (see
+        # repro.perf.jit): persists across segments with the icache.
+        self._ic_line = [-1]
         self.instructions_retired = 0
         self.busy_cycles = 0
 
@@ -59,9 +62,9 @@ class LittleCorePipeline:
         """Start a fresh activity (segment / thread slice) at ``cycle``."""
         if cycle > self.time:
             self.time = cycle
-        # In-place clear: the fast kernel's fused replay closures
-        # capture these list objects, so their identity must survive
-        # segment resets.
+        # In-place clear: a checker run captures these list objects
+        # for the fast kernel's replay closures, so their identity
+        # must survive segment resets.
         self._int_ready[:] = _ZEROS32
         self._fp_ready[:] = _ZEROS32
 

@@ -206,7 +206,7 @@ def run_batch(config, program, injectors):
         # a stale leader would turn future same-key segments into
         # perpetual followers that always fall back.
         for lane in engine.live:
-            engine._abandon_recordings(lane)
+            engine.controllers[lane].abandon_recording()
         raise
 
 
@@ -270,19 +270,11 @@ class _BatchEngine:
         self.evicted[lane] = cause
         self.eviction_counts[cause] = self.eviction_counts.get(cause, 0) + 1
         self.live.remove(lane)
-        self._abandon_recordings(lane)
+        # Sibling followers fall back instead of waiting on a leader
+        # that will never progress.
+        self.controllers[lane].abandon_recording()
         if not self.live:
             raise BatchError("every lane evicted")
-
-    def _abandon_recordings(self, lane):
-        """Retire the lane's in-flight memo recording (if any) so
-        sibling followers fall back instead of waiting on a leader
-        that will never progress."""
-        ctrl = self.controllers[lane]
-        if ctrl.active is not None:
-            checker = ctrl.checkers.get(ctrl.active.seg_id)
-            if checker is not None:
-                checker.abandon_recording()
 
     # -- the lockstep loop -------------------------------------------------
 

@@ -229,13 +229,16 @@ class DecodedProgram:
     kernels.
     """
 
-    __slots__ = ("base", "entries", "_n", "_source")
+    __slots__ = ("base", "entries", "replay_tables", "_n", "_source")
 
     def __init__(self, program):
         self.base = program.base
         self._source = program.instructions
         self.entries = [DecodedInstr(instr) for instr in program.instructions]
         self._n = len(self.entries)
+        #: Checker replay closure tables, one per little-core timing
+        #: configuration (:func:`repro.perf.jit.replay_table`).
+        self.replay_tables = {}
 
     def stale_for(self, program):
         """Whether the program's instruction list changed under us."""

@@ -596,6 +596,15 @@ def _little_mark_src(spec):
     return "        pass"
 
 
+#: Names a replay closure binds from its table's constants tuple
+#: (:func:`replay_constants`) and from the per-call pipeline tuple
+#: (:func:`replay_context`).
+_REPLAY_CONSTS = ("IC_SHIFT, RATIO, MISS_PEN, DIV_BUSY, FDIV_BUSY, "
+                  "FP_LAT, FP_OCC, MUL_LAT, LOAD_LAT, BR_PEN")
+_REPLAY_PIPE = ("pipeline, icache, icache_lookup, icache_fill, IC, "
+                "int_ready, fp_ready")
+
+
 def _build_replay_source(op):
     spec = SPECS[op]
     iclass = spec.iclass
@@ -622,17 +631,15 @@ def _build_replay_source(op):
     ret = "(complete, mismatch)" if needs_entry else "complete"
 
     source = f"""\
-def maker(RD, RS1, RS2, IMM, OP_INSTR, SHARED):
-    (pipeline, icache, icache_lookup, icache_fill, IC, IC_SHIFT,
-     int_ready, fp_ready,
-     RATIO, MISS_PEN, DIV_BUSY, FDIV_BUSY, FP_LAT, FP_OCC, MUL_LAT,
-     LOAD_LAT, BR_PEN) = SHARED
+def maker(RD, RS1, RS2, IMM, OP_INSTR, CONSTS):
+    ({_REPLAY_CONSTS}) = CONSTS
     MH = None  # checker replay never runs a MEEK handler
     UIMM = IMM & WORD
     IMM12 = IMM << 12
     LUI_VALUE = (IMM << 12) & WORD
 {_mem_consts(op)}\
-    def replay(state, pc, entry, delivery):
+    def replay(state, pc, entry, delivery, PIPE):
+        ({_REPLAY_PIPE}) = PIPE
         regs = state.int_regs
         fregs = state.fp_regs
         start = pipeline.time
@@ -676,47 +683,58 @@ def _replay_maker(op):
     return maker
 
 
-def build_replay_steps(decoded, pipeline):
-    """Fused replay closures for one little-core pipeline.
+def replay_constants(pipeline):
+    """The little-core timing constants a replay closure bakes in, in
+    :data:`_REPLAY_CONSTS` order: the key of a shared replay table."""
+    return (pipeline.icache._offset_bits, pipeline.ratio,
+            pipeline._miss_penalty, pipeline._div_busy,
+            pipeline._fdiv_busy, pipeline._fp_lat, pipeline._fp_occ,
+            pipeline._mul_lat, pipeline._load_data_lat,
+            pipeline._branch_pen)
 
-    Cached on the pipeline object per decoded program: the pipeline
-    persists across segments, so every CheckerRun on this core reuses
-    the same table.
-    """
-    cache = getattr(pipeline, "_replay_tables", None)
-    if cache is None:
-        cache = {}
-        pipeline._replay_tables = cache
-    # Keyed by the DecodedProgram object itself (identity hash, strong
-    # reference): an id()-based key would collide once a decoded image
-    # is garbage-collected and its id reused by a later program.
-    table = cache.get(decoded)
-    if table is not None:
-        return table
 
-    ic_cell = getattr(pipeline, "_ic_line", None)
-    if ic_cell is None:
-        # Last fetched I-cache line, shared by every replay table on
-        # this pipeline (the pipeline — and its icache — persist
-        # across segments, so the cell must too).
-        ic_cell = [-1]
-        pipeline._ic_line = ic_cell
+def replay_context(pipeline):
+    """The pipeline's mutable replay state, in :data:`_REPLAY_PIPE`
+    order: passed to every replay closure call, so one closure table
+    serves every pipeline with the same constants."""
     icache = pipeline.icache
-    shared = (pipeline, icache, icache.lookup, icache.fill,
-              ic_cell, icache._offset_bits,
-              pipeline._int_ready, pipeline._fp_ready,
-              pipeline.ratio, pipeline._miss_penalty, pipeline._div_busy,
-              pipeline._fdiv_busy, pipeline._fp_lat, pipeline._fp_occ,
-              pipeline._mul_lat, pipeline._load_data_lat,
-              pipeline._branch_pen)
-    steps = []
-    append = steps.append
-    for entry in decoded.entries:
-        instr = entry.instr
-        append(_replay_maker(instr.op)(instr.rd, instr.rs1, instr.rs2,
-                                       instr.imm, instr, shared))
-    cache[decoded] = steps
-    return steps
+    return (pipeline, icache, icache.lookup, icache.fill,
+            pipeline._ic_line, pipeline._int_ready, pipeline._fp_ready)
+
+
+def replay_table(decoded, pipeline):
+    """The fused replay closures for ``decoded`` on ``pipeline``.
+
+    One table per ``(decoded program, timing constants)``, stored on
+    the :class:`~repro.perf.decode.DecodedProgram` so it dies with the
+    program: every lane, core and segment with the same little-core
+    configuration shares it.  Each static instruction's closure is
+    built on its first replay — until then its slot holds a stub that
+    builds the closure, installs it and runs it.
+    """
+    consts = replay_constants(pipeline)
+    tables = decoded.replay_tables
+    table = tables.get(consts)
+    if table is None:
+        table = tables[consts] = _lazy_replay_table(decoded, consts)
+    return table
+
+
+def _lazy_replay_table(decoded, consts):
+    entries = decoded.entries
+    base = decoded.base
+    table = []
+
+    def first(state, pc, entry, delivery, pipe):
+        idx = (pc - base) >> 2
+        instr = entries[idx].instr
+        fn = _replay_maker(instr.op)(instr.rd, instr.rs1, instr.rs2,
+                                     instr.imm, instr, consts)
+        table[idx] = fn
+        return fn(state, pc, entry, delivery, pipe)
+
+    table.extend([first] * len(entries))
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -138,17 +138,21 @@ class Master:
         self.scheduler = sched.Scheduler(registry, counter)
         recovered = self.scheduler.recover()
         self._started = time.time()
-        self.server = protocol.LineServer(
-            ("unix", self.socket_path, None), self._dispatch,
-            on_close=self._drop_client, name="serve")
+        # The runner port opens first: once the Unix socket answers,
+        # hello must report it (clients start runners against it).
         if self.runners_address is not None:
             from repro.campaign.remote import serve_runners
-            try:
-                self.runner_server = serve_runners(self.hub,
-                                                   self.runners_address)
-            except OSError:
-                self.server.stop()
-                raise
+            self.runner_server = serve_runners(self.hub,
+                                               self.runners_address)
+        try:
+            self.server = protocol.LineServer(
+                ("unix", self.socket_path, None), self._dispatch,
+                on_close=self._drop_client, name="serve")
+        except BaseException:
+            if self.runner_server is not None:
+                self.runner_server.stop()
+                self.runner_server = None
+            raise
         contact = {
             "schema": protocol.PROTOCOL_SCHEMA, "pid": os.getpid(),
             "socket": self.socket_path, "state_dir": self.state_dir,

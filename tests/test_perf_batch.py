@@ -14,16 +14,22 @@ every canonical fault model, forced mid-run evictions, batch widths
 
 import json
 import os
+import threading
 
 import pytest
 
 from repro.campaign.executor import resolve_batch_lanes, run_campaign
 from repro.campaign.sched import batch_units
 from repro.campaign.spec import CampaignPoint, CampaignSpec
-from repro.campaign.tasks import (_PROGRAM_CACHE, batch_group_key,
-                                  run_inject_batch, run_inject_point)
+from repro.campaign.tasks import (_PROGRAM_CACHE, _inject_metrics,
+                                  _make_injector, batch_group_key,
+                                  build_config, build_program,
+                                  run_inject_batch, run_inject_point,
+                                  run_meek_point)
 from repro.core import segmemo
+from repro.core.checker import CheckerRun
 from repro.core.faults import CANONICAL_MODEL_SPECS
+from repro.core.system import MeekSystem
 from repro.workloads import all_profiles
 
 PROFILE_NAMES = [profile.name for profile in all_profiles()]
@@ -41,12 +47,14 @@ def _fresh(monkeypatch, no_segmemo=False, no_batch=False):
 
 
 def _points(workload, trials, instructions=1_500, rate=0.01, seed=0,
-            model=None, targets=None):
+            model=None, targets=None, lsl_kb=None):
     params = {"rate": rate}
     if model is not None:
         params["fault_model"] = model
     if targets is not None:
         params["fault_targets"] = targets
+    if lsl_kb is not None:
+        params["lsl_kb"] = lsl_kb
     return [CampaignPoint(task="inject", workload=workload,
                           instructions=instructions, seed=seed,
                           params={**params, "trial": trial,
@@ -165,6 +173,203 @@ def test_forced_eviction_env_bit_identical(monkeypatch):
     metrics, stats = run_inject_batch(points, "t")
     assert [json.dumps(m, sort_keys=True) for m in metrics] == reference
     assert stats["evictions"].get("forced") == 2
+
+
+# -- a small LSL: the credit check decides segment boundaries ---------------
+
+def _small_lsl_points(workload, instructions, rate, trials=8):
+    """Points with a 1 KB LSL (64 entries), so the LSL-full trigger
+    closes most segments, at a rate where injected lanes' timing
+    diverges from their siblings'.  The fast kernel advances each
+    checker only when that trigger could fire, so these points are
+    where an inexact advance rule would show."""
+    return _points(workload, trials, instructions=instructions, rate=rate,
+                   lsl_kb=1)
+
+
+def _lane_facts(result, injector):
+    """A lane's row plus its full controller stats (stall split, end
+    reasons, DEU/fabric counters and ``lsl_peak_occupancy``)."""
+    return (json.dumps(_inject_metrics(result, injector), sort_keys=True),
+            repr(result.controller.stats()))
+
+
+def _scalar_facts(points):
+    facts = []
+    for point in points:
+        injector = _make_injector(point, "t")
+        system = MeekSystem(build_config(point.params), injector=injector)
+        facts.append(_lane_facts(system.run(build_program(point)),
+                                 injector))
+    return facts
+
+
+SMALL_LSL_CASES = [("swaptions", 6_000, 0.002),
+                   ("streamcluster", 4_000, 0.005)]
+
+
+class TestAdvanceOnDemand:
+    """Batch = scalar and fast = slow kernel where the LSL fills."""
+
+    def reference(self, points, monkeypatch):
+        _fresh(monkeypatch, no_segmemo=True)
+        facts = _scalar_facts(points)
+        rows = [json.loads(row) for row, _ in facts]
+        assert all(row["end_reasons"]["lsl_full"] > 0 for row in rows), \
+            "the LSL never filled: the comparison would be vacuous"
+        assert len({row["cycles"] for row in rows}) > 1, \
+            "no lane diverged: the comparison would be vacuous"
+        return facts
+
+    @pytest.mark.parametrize("workload,instructions,rate", SMALL_LSL_CASES)
+    def test_batch_matches_scalar_memo_off(self, workload, instructions,
+                                           rate, monkeypatch):
+        from repro.perf.batch import run_batch
+
+        points = _small_lsl_points(workload, instructions, rate)
+        reference = self.reference(points, monkeypatch)
+        _fresh(monkeypatch)
+        injectors = [_make_injector(point, "t") for point in points]
+        outcome = run_batch(build_config(points[0].params),
+                            build_program(points[0]), injectors)
+        assert outcome.evicted == [None] * len(points)
+        assert [_lane_facts(result, injector) for result, injector
+                in zip(outcome.results, injectors)] == reference
+        # The scalar kernel with the memo on, over the warm store.
+        assert _scalar_facts(points) == reference
+
+    @pytest.mark.parametrize("workload,instructions,rate", SMALL_LSL_CASES)
+    def test_fast_matches_slow_kernel(self, workload, instructions, rate,
+                                      monkeypatch):
+        points = _small_lsl_points(workload, instructions, rate)
+        reference = self.reference(points, monkeypatch)
+        monkeypatch.setenv("REPRO_SLOW_KERNEL", "1")
+        assert _scalar_facts(points) == reference
+
+
+def test_follower_drives_its_lazy_leader(monkeypatch):
+    """Leaders advance on demand, so a follower must bring its leader's
+    replay forward before trusting the end of the recording.  Odd lanes
+    here advance at every commit (always exact), so they consult the
+    recording while lane 0, their leader, has not replayed yet."""
+    from repro.core.controller import MeekController
+    from repro.perf.batch import run_batch
+
+    point = _small_lsl_points("swaptions", 3_000, 0.0, trials=1)[0]
+    config = build_config(point.params)
+    program = build_program(point)
+    _fresh(monkeypatch, no_segmemo=True)
+    reference = _scalar_facts([point])[0]
+    _fresh(monkeypatch)
+
+    built = []
+    original_init = MeekController.__init__
+
+    def init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        self._eager_advance = len(built) % 2 == 1
+        built.append(self)
+
+    checks = []
+    original_follow = segmemo.follow_advance
+
+    def follow(run):
+        leader = run._follow.owner
+        outcome = original_follow(run)
+        if (outcome is None and leader is not None
+                and leader.segment.instr_count == run.segment.instr_count):
+            leader.advance()  # exact at any time
+            checks.append(leader.next_entry - run.next_entry)
+        return outcome
+
+    monkeypatch.setattr(MeekController, "__init__", init)
+    monkeypatch.setattr(segmemo, "follow_advance", follow)
+    outcome = run_batch(config, program, [None] * 4)
+    assert [repr(result.controller.stats()) for result in outcome.results] \
+        == [reference[1]] * 4
+    assert checks, "no follower consulted an in-flight recording"
+    assert max(checks) == 0, "a follower stopped short of its log"
+
+
+# -- segment-memo soundness ---------------------------------------------------
+
+def test_memo_follows_only_leaders_of_its_own_thread(monkeypatch):
+    """Two threads, one point: the first thread's leader stops inside
+    its checker while it holds a recording, and the second thread runs
+    the same point to the end meanwhile.  Following that frozen leader
+    held back consumptions the follower's log already had, so its LSL
+    read fuller than it was and a segment closed early (cycles and
+    ``lsl_full`` differed from serial)."""
+    point = CampaignPoint(task="meek", workload="streamcluster",
+                          instructions=6_000, seed=0,
+                          params={"cores": 8, "fabric": "axi"})
+    _fresh(monkeypatch, no_segmemo=True)
+    reference = json.dumps(run_meek_point(point), sort_keys=True)
+    _fresh(monkeypatch)
+
+    paused = threading.Event()
+    resume = threading.Event()
+    leader_ident = []
+    original = CheckerRun.advance
+
+    def advance(self):
+        if (leader_ident and threading.get_ident() == leader_ident[0]
+                and self._rec is not None and self.segment.entries
+                and not paused.is_set()):
+            paused.set()
+            resume.wait(60)
+        return original(self)
+
+    followed = []
+    original_prepare = segmemo.prepare
+
+    def prepare(run):
+        original_prepare(run)
+        if run._follow is not None and paused.is_set():
+            followed.append(threading.get_ident())
+
+    monkeypatch.setattr(CheckerRun, "advance", advance)
+    monkeypatch.setattr(segmemo, "prepare", prepare)
+    leader_rows = []
+
+    def lead():
+        leader_ident.append(threading.get_ident())
+        leader_rows.append(json.dumps(run_meek_point(point),
+                                      sort_keys=True))
+
+    thread = threading.Thread(target=lead, daemon=True)
+    thread.start()
+    try:
+        assert paused.wait(60), "the leader never held a recording"
+        rows = json.dumps(run_meek_point(point), sort_keys=True)
+    finally:
+        resume.set()
+        thread.join(60)
+    assert not thread.is_alive()
+    assert followed == []
+    assert rows == reference
+    assert leader_rows == [reference]
+
+
+def test_unwound_run_retires_its_recording(monkeypatch):
+    """A run that raises mid-segment (the per-point timeout does) leaves
+    no in-flight recording for a later run to follow."""
+    program_point = _points("swaptions", 1, instructions=3_000)[0]
+    _fresh(monkeypatch)
+    original = CheckerRun.advance
+
+    class Interrupt(Exception):
+        pass
+
+    def advance(self):
+        if self._rec is not None and self.segment.entries:
+            raise Interrupt
+        return original(self)
+
+    monkeypatch.setattr(CheckerRun, "advance", advance)
+    with pytest.raises(Interrupt):
+        run_inject_point(program_point, "t")
+    assert segmemo._inflight == {}
 
 
 class TestCampaignIntegration:

@@ -189,6 +189,41 @@ def test_one_system_many_programs_no_stale_replay(monkeypatch):
             f"false divergence on program {index}: stale replay table")
 
 
+def test_replay_tables_shared_per_little_core_config(monkeypatch):
+    """One replay closure table per (decoded program, little-core
+    timing constants): every core of a system and every pipeline with
+    equal constants share it, a different little-core configuration
+    gets its own, and closures are built on first replay."""
+    from dataclasses import replace
+
+    from repro.common.config import LittleCoreConfig
+    from repro.littlecore.pipeline import LittleCorePipeline
+    from repro.perf.decode import decode_program
+    from repro.perf.jit import replay_table
+
+    _set_kernel(monkeypatch, slow=False)
+    program = generate_program(get_profile("swaptions"),
+                               dynamic_instructions=800, seed=5)
+    decoded = decode_program(program)
+    first = LittleCorePipeline(LittleCoreConfig())
+    second = LittleCorePipeline(LittleCoreConfig())
+    table = replay_table(decoded, first)
+    assert replay_table(decoded, second) is table
+    assert len(set(map(id, table))) == 1, "closures built before replay"
+    rocket = LittleCorePipeline(replace(LittleCoreConfig(), div_unroll=1))
+    assert replay_table(decoded, rocket) is not table
+    slower_clock = LittleCorePipeline(LittleCoreConfig(), clock_ratio=3)
+    assert replay_table(decoded, slower_clock) is not table
+    assert len(decoded.replay_tables) == 3
+
+    result = MeekSystem(default_meek_config(num_little_cores=4)).run(
+        program)
+    assert result.all_segments_verified
+    assert len(decoded.replay_tables) == 3
+    assert len(set(map(id, table))) > 1, "replay built no closure"
+    assert not hasattr(first, "_replay_tables")
+
+
 def test_controller_subclass_hook_not_bypassed(monkeypatch):
     """A MeekController subclass overriding commit_hook must have its
     override invoked on the fast kernel (regression: the JIT's scalar

@@ -66,6 +66,14 @@ def _serve_kill(point, campaign_name=""):
     return {"value": point.seed}
 
 
+@task("serve_stubborn")
+def _serve_stubborn(point, campaign_name=""):
+    # A shard that ignores SIGTERM and never finishes its unit.
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    time.sleep(60.0)
+    return {"value": point.seed}
+
+
 def echo_spec(name="srv", n=4, k=0):
     return CampaignSpec(name=name, points=[
         CampaignPoint(
@@ -336,6 +344,33 @@ class TestMasterBasics:
             master.stop()
         assert read_contact(state_dir) is None
         assert not os.path.exists(master.socket_path)
+
+    def test_runner_port_open_before_socket_answers(self, state_dir,
+                                                    monkeypatch):
+        """A client that sees the socket answer reads the runner port
+        from hello and starts runners against it, so the port must be
+        open first (it read None, and crashed, when the socket came up
+        first)."""
+        from repro.campaign import remote
+
+        master = Master(state_dir=state_dir, service=ExecutionService(),
+                        runners="127.0.0.1:0")
+        socket_seen = []
+        original = remote.serve_runners
+
+        def serve_runners(hub, address):
+            socket_seen.append(os.path.exists(master.socket_path))
+            return original(hub, address)
+
+        monkeypatch.setattr(remote, "serve_runners", serve_runners)
+        master.start()
+        try:
+            assert socket_seen == [False]
+            with ServeClient(master.socket_path) as client:
+                assert client.hello()["runner_port"] == \
+                    master.runner_server.address
+        finally:
+            master.stop()
 
     def test_second_master_refuses_live_socket(self, master, state_dir):
         second = Master(state_dir=state_dir, service=ExecutionService())
@@ -677,3 +712,127 @@ class TestMasterSubprocess:
                 process.kill()
                 process.wait()
         assert rows_of(submitted["store"]) == direct_rows(spec)
+
+
+# -- no process outlives its owner ------------------------------------------
+
+
+def child_pids():
+    """Every live or unreaped process whose parent is this one."""
+    me = os.getpid()
+    children = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii",
+                      errors="replace") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # exited while we looked
+        # Fields after the parenthesized command: state, ppid, ...
+        if int(stat.rsplit(")", 1)[1].split()[1]) == me:
+            children.add(int(entry))
+    return children
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="needs a /proc process table")
+class TestNoProcessOutlives:
+    """Shutting down a pool, a service or a serve fleet returns only
+    once every process it started is reaped — on failed runs too."""
+
+    def assert_no_new_children(self, before):
+        """Neither ``multiprocessing`` nor the process table knows a
+        child that was not already there (earlier tests may keep a
+        pool of their own alive)."""
+        import multiprocessing
+
+        assert {proc.pid for proc in multiprocessing.active_children()} \
+            <= before
+        assert child_pids() <= before
+
+    def test_pool_close_reaps_a_shard_that_ignores_sigterm(self):
+        from types import SimpleNamespace
+
+        from repro.campaign.pool import WorkerPool
+
+        before = child_pids()
+        pool = WorkerPool(1)
+        point = CampaignPoint(task="serve_stubborn", workload="w",
+                              instructions=100, seed=0)
+
+        class OneUnit:
+            leased = False
+
+            def lease(self, owner):
+                if self.leased:
+                    return None
+                self.leased = True
+                return SimpleNamespace(chunk_id=0, epoch=0,
+                                       pairs=[(0, point)])
+
+            def record(self, chunk_id, epoch, row):
+                pass
+
+        pool.start_epoch()
+        pool.pump(OneUnit(), SimpleNamespace(campaign_name="stubborn",
+                                             timeout_s=None), 0.5)
+        pool.close(join_timeout=0.5)
+        self.assert_no_new_children(before)
+
+    def test_service_shutdown_reaps_its_pool(self):
+        before = child_pids()
+        service = ExecutionService()
+        try:
+            result = service.run_campaign(echo_spec(n=4), jobs=2)
+            assert result.all_ok
+            assert service.pool_info()["jobs"] == 2
+        finally:
+            service.shutdown()
+        self.assert_no_new_children(before)
+
+    def test_master_and_runner_stop_after_a_failed_run(self, state_dir):
+        import repro
+
+        before = child_pids()
+        src_dir = os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (src_dir + os.pathsep + env["PYTHONPATH"]
+                             if env.get("PYTHONPATH") else src_dir)
+        master = Master(state_dir=state_dir, service=ExecutionService(),
+                        runners="127.0.0.1:0")
+        master.start()
+        runner = None
+        try:
+            runner = subprocess.Popen(
+                [sys.executable, "-m", "repro", "runner", "--connect",
+                 master.runner_server.address, "--name", "reap",
+                 "--poll", "0.02", "--no-reconnect"],
+                env=env, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL)
+            assert master.hub.wait_for(1, timeout_s=60.0) >= 1, \
+                "the runner never registered"
+            spec = CampaignSpec(name="doomed", points=[
+                CampaignPoint(task="inject", workload="nosuchload",
+                              instructions=SMALL, seed=seed)
+                for seed in range(4)])
+            with ServeClient(master.socket_path) as client:
+                submitted = client.submit(spec.to_dict(), jobs=2)
+                run = wait_state(client, submitted["rid"], ("done",),
+                                 timeout=60.0)
+            assert run["failed"] == len(spec.points)
+        finally:
+            master.stop()
+            if runner is not None:
+                try:
+                    # --no-reconnect: the runner leaves on its own
+                    # once the master's port is gone.
+                    runner.wait(timeout=60.0)
+                finally:
+                    if runner.poll() is None:
+                        runner.kill()
+                        runner.wait()
+        assert runner.returncode is not None
+        self.assert_no_new_children(before)

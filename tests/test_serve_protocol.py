@@ -453,7 +453,7 @@ class FramingBattery:
             for expected in range(1, 6):
                 assert read_line(conn)["id"] == expected
 
-    def test_dropped_connection_releases_runner_leases(self, fuzz_master):
+    def test_dropped_connection_releases_runner_leases(self):
         class Drive:
             """Hands out one empty unit per lease; records releases."""
 
@@ -468,10 +468,16 @@ class FramingBattery:
                 self.released.append(owner)
                 return []
 
+        # A master of its own: the shared one releases the runners
+        # earlier tests registered whenever it sees their connections
+        # close, and such a late release would land in this drive.
+        master = Master(state_dir=tempfile.mkdtemp(prefix="fz", dir="/tmp"),
+                        service=ExecutionService(), runners="127.0.0.1:0")
+        master.start()
         drive = Drive()
-        fuzz_master.hub.attach(drive)
+        master.hub.attach(drive)
         try:
-            with self.conn(fuzz_master) as conn:
+            with self.conn(master) as conn:
                 runner = transact(conn, probe("runner", 1))[
                     "result"]["runner"]
                 reply = transact(conn, encode(request(
@@ -482,7 +488,8 @@ class FramingBattery:
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
         finally:
-            fuzz_master.hub.detach()
+            master.hub.detach()
+            master.stop()
         assert drive.released == [("runner", runner)]
 
     def test_abrupt_disconnect_mid_frame(self, fuzz_master):
