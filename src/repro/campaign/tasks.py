@@ -297,9 +297,9 @@ def run_cli_point(point, campaign_name=""):
 
     This is how ``repro batch --jobs N`` fans a command file across
     the warm worker pool: each script line becomes one point
-    (``params["command"]`` holds the line, ``params["line"]`` its
-    1-based line number, keeping duplicate commands distinct), the
-    command runs in-process through :func:`repro.cli.main` with its
+    (``params["command"]`` holds the shell-quoted argv, ``params["line"]``
+    its 1-based line number, keeping duplicate commands distinct), the
+    command runs in-process through :func:`repro.cli.run_line` with its
     stdout/stderr captured, and the metrics carry the exit status plus
     both streams so the parent can replay them in line order.
 
@@ -310,23 +310,12 @@ def run_cli_point(point, campaign_name=""):
     import shlex
     from contextlib import redirect_stderr, redirect_stdout
 
-    from repro.cli import build_parser, cli_handlers
+    from repro.cli import run_line
 
     command = point.params["command"]
-    argv = shlex.split(command)
-    if argv and argv[0] == "repro":
-        argv = argv[1:]
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            parsed = build_parser().parse_args(argv)
-            status = cli_handlers()[parsed.command](parsed)
-    except SystemExit as exc:  # argparse rejected the line
-        status = exc.code if isinstance(exc.code, int) else 2
-    except Exception as exc:  # noqa: BLE001 — the line's failure,
-        # never the campaign's (mirrors the serial batch loop).
-        print(f"{type(exc).__name__}: {exc}", file=err)
-        status = 1
+    with redirect_stdout(out), redirect_stderr(err):
+        status = run_line(shlex.split(command))
     return {"status": int(status or 0),
             "line": point.params.get("line"),
             "command": command,

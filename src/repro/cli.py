@@ -39,9 +39,37 @@ throughput per system, writes ``BENCH_perf.json``, and with ``--check``
 fails on regressions against the committed baseline; ``batch`` runs a
 file (or stdin) of repro commands in **one** warm interpreter — shared
 stepper caches and one persistent worker pool across all of them;
-``list`` shows the available workloads.  Everything grid-shaped accepts
-``--jobs N`` to shard across worker processes with bit-identical
-results.
+``list`` shows the available workloads.
+
+Execution flags are declared once (``_EXEC_FLAGS``) and mean the same
+on every command that takes them:
+
+    ===================== ============================================
+    ``--jobs N``          worker shards (default ``$REPRO_JOBS`` or 1);
+                          any count gives bit-identical results
+    ``--out FILE``        append per-point JSONL rows here
+    ``--resume``          skip points already OK in ``--out``
+    ``--status FILE``     live status snapshot (default
+                          ``<out>.status.json``)
+    ``--events FILE``     structured JSONL event log, all processes
+    ``--progress``        force the stderr progress line
+    ``--batch N|auto``    lockstep batch width cap for inject points
+    ``--point-timeout S`` per-point wall-clock budget
+    ``--runners``,        distribute chunks to remote ``repro runner``
+    ``--min-runners``,    processes (see *Distributed campaigns*)
+    ``--runner-wait``,
+    ``--lease-timeout``
+    ===================== ============================================
+
+``inject``, ``campaign`` and ``difftest`` take every one: each builds
+its spec and hands it to one runner, :func:`_run_spec`.  ``serve``
+takes ``--jobs``, ``--events``, ``--runners`` and ``--lease-timeout``
+for the runs it serves.  Two campaign commands take a subset, on
+purpose.  ``figure`` takes only ``--jobs``, because it runs several
+fail-fast grids without a store.  ``submit`` takes ``--jobs``,
+``--point-timeout`` and ``--progress`` and forwards only what the
+master's ``submit`` request accepts: the master owns the event log and
+the runner port, and picks the store unless ``submit --out`` names one.
 
 Warm path: compiled steppers are memoized on disk under
 ``~/.cache/repro`` (``$REPRO_CACHE_DIR`` overrides,
@@ -70,8 +98,8 @@ Serving: ``repro serve`` starts the long-lived campaign master (see
 run by id — live over the socket while the master is up, falling back
 to the run's status snapshot / store on disk once it is not.
 
-Distributed campaigns: ``repro campaign --runners [HOST:]PORT`` (and
-``repro serve --runners PORT``) open a TCP runner port; ``repro
+Distributed campaigns: ``--runners [HOST:]PORT`` on ``campaign``,
+``inject``, ``difftest`` or ``serve`` opens a TCP runner port; ``repro
 runner --connect HOST:PORT`` processes on other machines register,
 lease chunks, and stream rows back — any mixture of remote runners
 and local shards (``--jobs``) is bit-identical to a serial run.  The
@@ -147,7 +175,7 @@ def _progress(spec, args):
 def _events(args):
     """Install the JSONL event log when ``--events`` was given (before
     any workers fork, so they inherit the sink)."""
-    if getattr(args, "events", None):
+    if args.events:
         from repro.obs.events import install_event_log
         install_event_log(args.events)
 
@@ -161,9 +189,9 @@ def _fault_params(args, prog):
 
     params = {}
     try:
-        if getattr(args, "fault_model", None):
+        if args.fault_model:
             params["fault_model"] = parse_fault_model(args.fault_model).spec
-        if getattr(args, "fault_targets", None):
+        if args.fault_targets:
             parse_fault_targets(args.fault_targets)
             params["fault_targets"] = args.fault_targets
     except ConfigError as exc:
@@ -172,14 +200,69 @@ def _fault_params(args, prog):
     return params
 
 
-def _cmd_inject(args):
-    from repro.analysis.coverage import CoverageMap, format_coverage
-    from repro.campaign import (CampaignPoint, CampaignSpec, ResultStore,
-                                default_jobs)
+def _run_spec(spec, args, prog):
+    """Run ``spec`` under the execution flags in ``args`` — the one
+    path every campaign-shaped command (``inject``, ``campaign``,
+    ``difftest``) takes to the engine.  Returns the
+    :class:`~repro.campaign.CampaignResult`, or ``None`` after printing
+    a usage error."""
+    from repro.campaign import ResultStore, default_jobs
     from repro.obs.live import attach_live
     from repro.perf.service import get_service
 
     _events(args)
+    if args.resume and args.out is None:
+        print(f"{prog}: --resume needs --out FILE to resume from",
+              file=sys.stderr)
+        return None
+
+    hub = listener = None
+    if args.runners is not None:
+        from repro.campaign.remote import (RunnerHub, parse_address,
+                                           serve_runners)
+
+        if parse_address(str(args.runners))[0] != "tcp":
+            print(f"{prog}: --runners takes [HOST:]PORT", file=sys.stderr)
+            return None
+        hub = RunnerHub(lease_timeout_s=args.lease_timeout)
+        try:
+            listener = serve_runners(hub, args.runners)
+        except OSError as exc:
+            print(f"{prog}: cannot bind runner port "
+                  f"{args.runners}: {exc}", file=sys.stderr)
+            return None
+        print(f"{prog}: accepting runners on {listener.address} "
+              f"('repro runner --connect {listener.address}')",
+              file=sys.stderr, flush=True)
+        active = hub.wait_for(args.min_runners, timeout_s=args.runner_wait)
+        if active < args.min_runners:
+            print(f"{prog}: only {active} of {args.min_runners} "
+                  f"runner(s) registered within {args.runner_wait:.0f}s",
+                  file=sys.stderr)
+            listener.stop()
+            return None
+
+    # --jobs >= 2 alongside --runners is mixed mode: the service pool's
+    # shards steal units from the same scheduler as the remote fleet.
+    try:
+        with ResultStore(path=args.out) as store:
+            live = attach_live(spec, jobs=default_jobs(args.jobs),
+                               store=store, status_path=args.status)
+            return get_service().run_campaign(
+                spec, jobs=args.jobs, store=store,
+                resume_from=args.out if args.resume else None,
+                progress=_progress(spec, args),
+                point_timeout_s=args.point_timeout, live=live,
+                batch=args.batch, hub=hub)
+    finally:
+        if listener is not None:
+            listener.stop()
+
+
+def _cmd_inject(args):
+    from repro.analysis.coverage import CoverageMap, format_coverage
+    from repro.campaign import CampaignPoint, CampaignSpec
+
     fault_params = _fault_params(args, "inject")
     if fault_params is None:
         return 2
@@ -194,11 +277,9 @@ def _cmd_inject(args):
         for trial in range(args.trials)
     ]
     spec = CampaignSpec(name=f"inject-{args.workload}", points=points)
-    with ResultStore(path=args.out) as store:
-        live = attach_live(spec, jobs=default_jobs(args.jobs), store=store)
-        result = get_service().run_campaign(spec, jobs=args.jobs,
-                                            store=store, live=live,
-                                            progress=_progress(spec, args))
+    result = _run_spec(spec, args, "inject")
+    if result is None:
+        return 2
     for failure in result.failed:
         print(f"trial failed    : {failure.point_id}: "
               f"{(failure.error or '').splitlines()[0]}")
@@ -289,8 +370,7 @@ def _resolve_campaign_spec(args, prog="campaign"):
             if fault_params is None:
                 return None
             injection = {"rate": args.rate, **fault_params}
-        elif getattr(args, "fault_model", None) \
-                or getattr(args, "fault_targets", None):
+        elif args.fault_model or args.fault_targets:
             print(f"{prog}: --fault-model/--fault-targets need "
                   f"--task inject", file=sys.stderr)
             return None
@@ -309,61 +389,14 @@ def _resolve_campaign_spec(args, prog="campaign"):
 
 
 def _cmd_campaign(args):
-    from repro.campaign import ResultStore, format_summary
-    from repro.perf.service import get_service
+    from repro.campaign import format_summary
 
-    _events(args)
     spec = _resolve_campaign_spec(args)
     if spec is None:
         return 2
-    resume_from = args.out if args.resume else None
-    if args.resume and args.out is None:
-        print("campaign: --resume needs --out FILE to resume from",
-              file=sys.stderr)
+    result = _run_spec(spec, args, "campaign")
+    if result is None:
         return 2
-    from repro.campaign import default_jobs
-    from repro.obs.live import attach_live
-
-    hub = listener = None
-    if args.runners is not None:
-        from repro.campaign.remote import (RunnerHub, parse_address,
-                                           serve_runners)
-
-        if parse_address(str(args.runners))[0] != "tcp":
-            print("campaign: --runners takes [HOST:]PORT", file=sys.stderr)
-            return 2
-        hub = RunnerHub(lease_timeout_s=args.lease_timeout)
-        try:
-            listener = serve_runners(hub, args.runners)
-        except OSError as exc:
-            print(f"campaign: cannot bind runner port "
-                  f"{args.runners}: {exc}", file=sys.stderr)
-            return 2
-        print(f"campaign: accepting runners on {listener.address} "
-              f"('repro runner --connect {listener.address}')",
-              file=sys.stderr, flush=True)
-        active = hub.wait_for(args.min_runners, timeout_s=args.runner_wait)
-        if active < args.min_runners:
-            print(f"campaign: only {active} of {args.min_runners} "
-                  f"runner(s) registered within {args.runner_wait:.0f}s",
-                  file=sys.stderr)
-            listener.stop()
-            return 2
-
-    # --jobs >= 2 alongside --runners is mixed mode: the service pool's
-    # shards steal units from the same scheduler as the remote fleet.
-    try:
-        with ResultStore(path=args.out) as store:
-            live = attach_live(spec, jobs=default_jobs(args.jobs),
-                               store=store, status_path=args.status)
-            result = get_service().run_campaign(
-                spec, jobs=args.jobs, store=store, resume_from=resume_from,
-                progress=_progress(spec, args),
-                point_timeout_s=args.point_timeout, live=live,
-                batch=args.batch, hub=hub)
-    finally:
-        if listener is not None:
-            listener.stop()
     print(format_summary(spec, result.results,
                          corrupt_rows_skipped=result.corrupt_rows_skipped))
     return 0 if result.all_ok else 1
@@ -460,35 +493,20 @@ def _difftest_self_check(args):
 
 
 def _cmd_difftest(args):
-    from repro.campaign import CampaignSpec, ResultStore
+    from repro.campaign import CampaignSpec
     from repro.difftest import (diff_program, fuzz_program_for_point,
                                 shrink_fuzz_program, write_artifact)
     from repro.perf.service import get_service
 
-    _events(args)
     if args.self_check:
+        _events(args)
         return _difftest_self_check(args)
-    if args.resume and args.out is None:
-        print("difftest: --resume needs --out FILE to resume from",
-              file=sys.stderr)
-        return 2
 
-    service = get_service()
-    if args.shrink:
-        # Shrinking runs in-process after the campaign; start warm so
-        # the ddmin candidates reuse cached steppers from the first.
-        service.warm()
     points = [_difftest_point(args, i) for i in range(args.programs)]
     spec = CampaignSpec(name=f"difftest-seed{args.seed}", points=points)
-    from repro.campaign import default_jobs
-    from repro.obs.live import attach_live
-    with ResultStore(path=args.out) as store:
-        result = service.run_campaign(
-            spec, jobs=args.jobs, store=store,
-            resume_from=args.out if args.resume else None,
-            progress=_progress(spec, args),
-            live=attach_live(spec, jobs=default_jobs(args.jobs),
-                             store=store))
+    result = _run_spec(spec, args, "difftest")
+    if result is None:
+        return 2
 
     for failure in result.failed:
         print(f"point failed    : {failure.point_id}: "
@@ -502,6 +520,9 @@ def _cmd_difftest(args):
         print(f"DIVERGENCE      : {point.point_id}: {first}")
         if not args.shrink:
             continue
+        # Every ddmin candidate re-runs the harness in-process; warm
+        # once so they all step through already-compiled makers.
+        get_service().warm()
         fuzz = fuzz_program_for_point(point)
 
         def predicate(program):
@@ -775,6 +796,59 @@ def _cmd_cancel(args):
     return 0
 
 
+#: Commands a batch script cannot run, and why.
+_NOT_IN_BATCH = {
+    "batch": "nested batch is not allowed",
+    "serve": "it blocks forever; start the master outside the batch",
+    "runner": "it blocks forever; start it outside the batch",
+}
+
+
+def _script_lines(text):
+    """Parse a batch script: yield ``(lineno, argv, error)`` for every
+    line that is not blank or a ``#`` comment.  ``argv`` has a pasted
+    ``repro`` prefix stripped; a line that cannot run yields ``None``
+    and the reason instead."""
+    import shlex
+
+    for lineno, line in enumerate(text.splitlines(), 1):
+        command = line.strip()
+        if not command or command.startswith("#"):
+            continue
+        try:
+            argv = shlex.split(command)
+        except ValueError as exc:  # e.g. unbalanced quotes
+            yield lineno, None, str(exc)
+            continue
+        if argv and argv[0] == "repro":  # tolerate pasted shell lines
+            argv = argv[1:]
+        if not argv:
+            continue
+        if argv[0] in _NOT_IN_BATCH:
+            yield (lineno, None, f"{argv[0]} cannot run inside a batch "
+                                 f"({_NOT_IN_BATCH[argv[0]]})")
+        else:
+            yield lineno, argv, None
+
+
+def run_line(argv):
+    """Run one ``repro`` command line in this process; its exit status.
+
+    An argparse rejection returns argparse's code, and any other
+    exception prints to stderr and returns 1: a failing line is that
+    line's failure, never its caller's.  ``batch`` runs every script
+    line through here, serially or inside the ``cli`` campaign task.
+    """
+    try:
+        parsed = build_parser().parse_args(argv)
+        return _HANDLERS[parsed.command](parsed)
+    except SystemExit as exc:  # argparse rejected the line
+        return exc.code if isinstance(exc.code, int) else 2
+    except Exception as exc:  # noqa: BLE001 — see the docstring
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+
+
 def _batch_fanout(args, text):
     """``batch --jobs N``: fan independent script lines across shards.
 
@@ -795,26 +869,12 @@ def _batch_fanout(args, text):
 
     commands = []
     failures = 0
-    for lineno, line in enumerate(text.splitlines(), 1):
-        command = line.strip()
-        if not command or command.startswith("#"):
-            continue
-        try:
-            argv = shlex.split(command)
-        except ValueError as exc:  # e.g. unbalanced quotes
-            print(f"batch: line {lineno}: {exc}", file=sys.stderr)
+    for lineno, argv, error in _script_lines(text):
+        if argv is None:
+            print(f"batch: line {lineno}: {error}", file=sys.stderr)
             failures += 1
-            continue
-        if argv and argv[0] == "repro":  # tolerate pasted shell lines
-            argv = argv[1:]
-        if not argv:
-            continue
-        if argv[0] in ("batch", "serve", "runner"):
-            print(f"batch: line {lineno}: {argv[0]} cannot run inside "
-                  f"a batch", file=sys.stderr)
-            failures += 1
-            continue
-        commands.append((lineno, " ".join(argv)))
+        else:
+            commands.append((lineno, shlex.join(argv)))
     if commands:
         points = [CampaignPoint(task="cli", workload="batch",
                                 params={"command": command, "line": lineno})
@@ -871,55 +931,22 @@ def _cmd_batch(args):
         return _batch_fanout(args, text)
 
     get_service().warm()
-    parser = build_parser()
     ran = 0
     failures = 0
-    for lineno, line in enumerate(text.splitlines(), 1):
-        command = line.strip()
-        if not command or command.startswith("#"):
-            continue
-        try:
-            argv = shlex.split(command)
-        except ValueError as exc:  # e.g. unbalanced quotes
-            print(f"batch: line {lineno}: {exc}", file=sys.stderr)
-            failures += 1
-            if not args.keep_going:
-                break
-            continue
-        if argv and argv[0] == "repro":  # tolerate pasted shell lines
-            argv = argv[1:]
-        if not argv:
-            continue
-        if argv[0] in ("batch", "serve", "runner"):
-            reason = {
-                "batch": "nested batch is not allowed",
-                "serve": "serve blocks forever; start the master "
-                         "outside the batch",
-                "runner": "runner blocks forever; start it outside "
-                          "the batch",
-            }[argv[0]]
-            print(f"batch: line {lineno}: {reason}", file=sys.stderr)
-            failures += 1
-            if not args.keep_going:
-                break
-            continue
-        ran += 1
-        print(f"batch line {lineno:<4}: {' '.join(argv)}", file=sys.stderr)
-        try:
-            parsed = parser.parse_args(argv)
-            status = _HANDLERS[parsed.command](parsed)
-        except SystemExit as exc:  # argparse rejected the line
-            status = exc.code if isinstance(exc.code, int) else 2
-        except Exception as exc:  # noqa: BLE001 — a failing command
-            # must be this line's failure, never the whole batch's.
-            print(f"batch: line {lineno}: {type(exc).__name__}: {exc}",
+    for lineno, argv, error in _script_lines(text):
+        if argv is None:
+            print(f"batch: line {lineno}: {error}", file=sys.stderr)
+        else:
+            ran += 1
+            print(f"batch line {lineno:<4}: {shlex.join(argv)}",
                   file=sys.stderr)
-            status = 1
-        if status:
-            failures += 1
+            status = run_line(argv)
+            if not status:
+                continue
             print(f"batch: line {lineno} exited {status}", file=sys.stderr)
-            if not args.keep_going:
-                break
+        failures += 1
+        if not args.keep_going:
+            break
     print(f"batch           : {ran} command(s), {failures} failed")
     return 1 if failures else 0
 
@@ -986,10 +1013,77 @@ def _cmd_figure(args):
     return 0
 
 
+#: The execution flags, declared once: flag -> ``add_argument`` keyword
+#: arguments.  ``inject``, ``campaign`` and ``difftest`` take them all;
+#: ``figure`` and ``submit`` take subsets (see the module docstring).
+_EXEC_FLAGS = {
+    "--jobs": dict(type=int, default=None,
+                   help="worker shards (default $REPRO_JOBS or 1)"),
+    "--out": dict(default=None,
+                  help="append per-point JSONL rows here (injection runs "
+                       "also persist <out>.coverage.json)"),
+    "--resume": dict(action="store_true",
+                     help="skip points already OK in --out"),
+    "--status": dict(default=None,
+                     help="publish the live status snapshot here "
+                          "(default: <out>.status.json when --out is "
+                          "given)"),
+    "--events": dict(default=None,
+                     help="append structured JSONL events here (sets "
+                          "$REPRO_EVENTS for all workers)"),
+    "--progress": dict(action="store_true",
+                       help="force the stderr progress line"),
+    "--batch": dict(default=None,
+                    help="lockstep batch width cap for compatible inject "
+                         "points (units are sized to the fleet under "
+                         "it): N, 'auto' (the default: kernel-chosen "
+                         "cap), or 1 to force scalar evaluation; rows "
+                         "are bit-identical either way"),
+    "--point-timeout": dict(type=float, default=None,
+                            help="per-point wall-clock budget (s)"),
+    "--runners": dict(default=None, metavar="[HOST:]PORT",
+                      help="accept remote 'repro runner' processes on "
+                           "this TCP port and distribute chunks to them "
+                           "(0 picks a free port; trusted networks only "
+                           "— no authentication); with --jobs >= 2 a "
+                           "local pool works the same queue"),
+    "--min-runners": dict(type=int, default=1,
+                          help="runners to wait for before starting "
+                               "(with --runners)"),
+    "--runner-wait": dict(type=float, default=60.0,
+                          help="seconds to wait for --min-runners before "
+                               "giving up"),
+    "--lease-timeout": dict(type=float, default=60.0,
+                            help="seconds without a row or heartbeat "
+                                 "before a runner's lease expires and its "
+                                 "chunk requeues (scaled up automatically "
+                                 "by the per-unit evaluation budget)"),
+}
+
+
+def _add_exec_args(parser, flags=tuple(_EXEC_FLAGS)):
+    """Add the execution flags ``flags`` (default: all of them)."""
+    for flag in flags:
+        parser.add_argument(flag, **_EXEC_FLAGS[flag])
+
+
+def _add_fault_args(parser):
+    """The fault-model flags of ``inject`` and the campaign grid."""
+    parser.add_argument("--fault-model", default=None,
+                        help="fault model: single (default), "
+                             "burst:width=K, correlated:span=N, "
+                             "stuckat[:bit=B,value=V] (grids: needs "
+                             "--task inject)")
+    parser.add_argument("--fault-targets", default=None,
+                        help="injection targets: groups (runtime, "
+                             "status, dcbuf, fabric, all) or exact "
+                             "structures (runtime.addr, fabric.status, "
+                             "...) (grids: needs --task inject)")
+
+
 def _add_grid_args(parser):
     """The campaign-grid flags shared by ``campaign`` and ``submit``
-    (everything :func:`_resolve_campaign_spec` consumes, plus the
-    execution knobs both commands forward)."""
+    (everything :func:`_resolve_campaign_spec` consumes)."""
     parser.add_argument("--spec", default=None,
                         help="JSON spec file (points or grid shorthand); "
                              "overrides grid flags")
@@ -1004,21 +1098,7 @@ def _add_grid_args(parser):
     parser.add_argument("--trials", type=int, default=3,
                         help="fault-injection trials per cell")
     parser.add_argument("--rate", type=float, default=0.008)
-    parser.add_argument("--fault-model", default=None,
-                        help="fault model for --task inject: single, "
-                             "burst:width=K, correlated:span=N, "
-                             "stuckat[:bit=B,value=V]")
-    parser.add_argument("--fault-targets", default=None,
-                        help="injection targets for --task inject: "
-                             "groups (runtime, status, dcbuf, fabric, "
-                             "all) or exact structures "
-                             "(e.g. runtime.addr,fabric.status)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker shards (default $REPRO_JOBS or 1)")
-    parser.add_argument("--point-timeout", type=float, default=None,
-                        help="per-point wall-clock budget (s)")
-    parser.add_argument("--progress", action="store_true",
-                        help="force the stderr progress line")
+    _add_fault_args(parser)
 
 
 def _add_serve_client_args(parser, what="talking to the master"):
@@ -1045,8 +1125,7 @@ def build_parser():
     run_parser.add_argument("workload")
     run_parser.add_argument("--instructions", type=int, default=20_000)
     run_parser.add_argument("--cores", type=int, default=4)
-    run_parser.add_argument("--fabric", choices=("f2", "axi", "ideal"),
-                            default="f2")
+    run_parser.add_argument("--fabric", choices=_FABRICS, default="f2")
     run_parser.add_argument("--seed", type=int, default=0)
 
     inject_parser = sub.add_parser("inject", help="fault campaign")
@@ -1057,78 +1136,20 @@ def build_parser():
     inject_parser.add_argument("--seed", type=int, default=0)
     inject_parser.add_argument("--cores", type=int, default=4)
     inject_parser.add_argument("--fabric", choices=_FABRICS, default="f2")
-    inject_parser.add_argument("--fault-model", default=None,
-                               help="fault model: single (default), "
-                                    "burst:width=K, correlated:span=N, "
-                                    "stuckat[:bit=B,value=V]")
-    inject_parser.add_argument("--fault-targets", default=None,
-                               help="injection targets: groups (runtime, "
-                                    "status, dcbuf, fabric, all) or exact "
-                                    "structures (runtime.addr, "
-                                    "fabric.status, ...)")
-    inject_parser.add_argument("--out", default=None,
-                               help="append per-trial JSONL rows here "
-                                    "(also persists <out>.coverage.json)")
-    inject_parser.add_argument("--jobs", type=int, default=None,
-                               help="worker shards (default $REPRO_JOBS or 1)")
-    inject_parser.add_argument("--progress", action="store_true",
-                               help="force the stderr progress line")
-    inject_parser.add_argument("--events", default=None,
-                               help="append structured JSONL events here "
-                                    "(sets $REPRO_EVENTS for all workers)")
+    _add_fault_args(inject_parser)
+    _add_exec_args(inject_parser)
 
     figure_parser = sub.add_parser("figure",
                                    help="regenerate a paper table/figure")
     figure_parser.add_argument("name", choices=_FIGURES)
     figure_parser.add_argument("--instructions", type=int, default=10_000)
-    figure_parser.add_argument("--jobs", type=int, default=None,
-                               help="worker shards (default $REPRO_JOBS or 1)")
+    _add_exec_args(figure_parser, ("--jobs",))
 
     campaign_parser = sub.add_parser(
         "campaign",
         help="run a declarative grid through the sharded campaign engine")
     _add_grid_args(campaign_parser)
-    campaign_parser.add_argument("--out", default=None,
-                                 help="append per-point JSONL rows here")
-    campaign_parser.add_argument("--resume", action="store_true",
-                                 help="skip points already OK in --out")
-    campaign_parser.add_argument("--status", default=None,
-                                 help="publish the live status snapshot "
-                                      "here (default: <out>.status.json "
-                                      "when --out is given)")
-    campaign_parser.add_argument("--events", default=None,
-                                 help="append structured JSONL events here "
-                                      "(sets $REPRO_EVENTS for all workers)")
-    campaign_parser.add_argument("--batch", default=None,
-                                 help="lockstep batch width cap for "
-                                      "compatible inject points (units "
-                                      "are sized to the fleet under it): "
-                                      "N, 'auto' (the default: "
-                                      "kernel-chosen cap), or 1 to force "
-                                      "scalar evaluation; rows are "
-                                      "bit-identical either way")
-    campaign_parser.add_argument("--runners", default=None,
-                                 metavar="[HOST:]PORT",
-                                 help="accept remote 'repro runner' "
-                                      "processes on this TCP port and "
-                                      "distribute chunks to them (0 picks "
-                                      "a free port; trusted networks "
-                                      "only — no authentication); with "
-                                      "--jobs >= 2 a local pool works "
-                                      "the same queue")
-    campaign_parser.add_argument("--min-runners", type=int, default=1,
-                                 help="runners to wait for before starting "
-                                      "(with --runners)")
-    campaign_parser.add_argument("--runner-wait", type=float, default=60.0,
-                                 help="seconds to wait for --min-runners "
-                                      "before giving up")
-    campaign_parser.add_argument("--lease-timeout", type=float,
-                                 default=60.0,
-                                 help="seconds without a row or heartbeat "
-                                      "before a runner's lease expires and "
-                                      "its chunk requeues (scaled up "
-                                      "automatically by the per-unit "
-                                      "evaluation budget)")
+    _add_exec_args(campaign_parser)
 
     bench_parser = sub.add_parser(
         "bench",
@@ -1197,9 +1218,6 @@ def build_parser():
     difftest_parser.add_argument("--programs", type=int, default=50,
                                  help="number of fuzz programs")
     difftest_parser.add_argument("--seed", type=int, default=0)
-    difftest_parser.add_argument("--jobs", type=int, default=None,
-                                 help="worker shards (default $REPRO_JOBS "
-                                      "or 1)")
     difftest_parser.add_argument("--shrink", action="store_true",
                                  help="minimize divergent programs and "
                                       "write regression artifacts")
@@ -1212,16 +1230,7 @@ def build_parser():
     difftest_parser.add_argument("--artifacts",
                                  default="artifacts/difftest",
                                  help="regression-artifact directory")
-    difftest_parser.add_argument("--out", default=None,
-                                 help="append per-point JSONL rows here")
-    difftest_parser.add_argument("--resume", action="store_true",
-                                 help="skip points already OK in --out")
-    difftest_parser.add_argument("--progress", action="store_true",
-                                 help="force the stderr progress line")
-    difftest_parser.add_argument("--events", default=None,
-                                 help="append structured JSONL events here "
-                                      "(sets $REPRO_EVENTS for all "
-                                      "workers)")
+    _add_exec_args(difftest_parser)
 
     watch_parser = sub.add_parser(
         "watch",
@@ -1318,27 +1327,11 @@ def build_parser():
         "serve",
         help="run the campaign master daemon (one warm worker pool "
              "shared by every submitter)")
-    serve_parser.add_argument("--jobs", type=int, default=None,
-                              help="default worker shards for submitted "
-                                   "runs (default $REPRO_JOBS or 1)")
     serve_parser.add_argument("--stop", action="store_true",
                               help="ask a running master to shut down "
                                    "gracefully and exit")
-    serve_parser.add_argument("--events", default=None,
-                              help="append structured JSONL events here "
-                                   "(sets $REPRO_EVENTS for all workers)")
-    serve_parser.add_argument("--runners", default=None,
-                              metavar="[HOST:]PORT",
-                              help="also accept remote 'repro runner' "
-                                   "processes on this TCP port; submitted "
-                                   "runs distribute across them (0 picks "
-                                   "a free port; trusted networks only)")
-    serve_parser.add_argument("--lease-timeout", type=float, default=60.0,
-                              help="seconds without a row or heartbeat "
-                                   "before a runner's lease expires and "
-                                   "its chunk requeues (scaled up "
-                                   "automatically by the per-unit "
-                                   "evaluation budget)")
+    _add_exec_args(serve_parser,
+                   ("--jobs", "--events", "--runners", "--lease-timeout"))
     _add_serve_client_args(serve_parser, "this master")
 
     submit_parser = sub.add_parser(
@@ -1346,6 +1339,8 @@ def build_parser():
         help="submit a campaign grid to the serve master and stream "
              "its rows back")
     _add_grid_args(submit_parser)
+    _add_exec_args(submit_parser,
+                   ("--jobs", "--point-timeout", "--progress"))
     submit_parser.add_argument("--priority", type=int, default=0,
                                help="queue priority (higher runs first; "
                                     "ties in submission order)")
@@ -1394,12 +1389,6 @@ _HANDLERS = {
     "runner": _cmd_runner,
     "events": _cmd_events,
 }
-
-
-def cli_handlers():
-    """The command-name → handler mapping (used by the ``cli``
-    campaign task to re-enter the CLI inside a worker shard)."""
-    return _HANDLERS
 
 
 def main(argv=None):

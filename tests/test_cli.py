@@ -559,3 +559,233 @@ class TestWatchAbortedState:
                                 "rid": 9, "points": {"total": 4},
                                 "updated_unix": 0.0}, now_unix=1.0)
         assert view.splitlines()[0].startswith("run 9 · campaign c")
+
+
+#: The execution flags ``inject``, ``campaign`` and ``difftest`` share:
+#: (argv that sets the flag, dest, default, value parsed from that argv).
+EXEC_FLAGS = [
+    (["--jobs", "3"], "jobs", None, 3),
+    (["--out", "r.jsonl"], "out", None, "r.jsonl"),
+    (["--resume"], "resume", False, True),
+    (["--status", "s.json"], "status", None, "s.json"),
+    (["--events", "e.jsonl"], "events", None, "e.jsonl"),
+    (["--progress"], "progress", False, True),
+    (["--batch", "8"], "batch", None, "8"),
+    (["--point-timeout", "2.5"], "point_timeout", None, 2.5),
+    (["--runners", "7100"], "runners", None, "7100"),
+    (["--min-runners", "2"], "min_runners", 1, 2),
+    (["--runner-wait", "5"], "runner_wait", 60.0, 5.0),
+    (["--lease-timeout", "9"], "lease_timeout", 60.0, 9.0),
+]
+_EXEC_DEFAULTS = {dest: default for _, dest, default, _ in EXEC_FLAGS}
+_GRID_DEFAULTS = {
+    "spec": None, "name": "cli", "task": "meek", "workloads": [],
+    "seeds": [0], "instructions": 20_000, "cores": [4], "fabric": ["f2"],
+    "trials": 3, "rate": 0.008, "fault_model": None, "fault_targets": None,
+}
+_SERVE_CLIENT_DEFAULTS = {"socket": None, "state_dir": None}
+
+#: Each command's ``vars(Namespace)`` less ``command`` and the
+#: arguments :data:`PINNED_ARGV` always gives it (positionals,
+#: ``runner --connect``).
+COMMAND_DEFAULTS = {
+    "run": {"instructions": 20_000, "cores": 4, "fabric": "f2", "seed": 0},
+    "inject": {"instructions": 15_000, "trials": 2, "rate": 0.008,
+               "seed": 0, "cores": 4, "fabric": "f2", "fault_model": None,
+               "fault_targets": None, **_EXEC_DEFAULTS},
+    "campaign": {**_GRID_DEFAULTS, **_EXEC_DEFAULTS},
+    "difftest": {"programs": 50, "seed": 0, "shrink": False,
+                 "self_check": False, "instructions": 10_000,
+                 "artifacts": "artifacts/difftest", **_EXEC_DEFAULTS},
+    "bench": {"workloads": ["swaptions", "mcf", "streamcluster"],
+              "instructions": 20_000, "seed": 0, "cores": 4, "repeat": 3,
+              "figures": ["fig7"], "figure_instructions": 2_000,
+              "skip_figures": False, "skip_kernels": False,
+              "skip_warm_start": False, "skip_campaign": False,
+              "campaign_jobs": 2, "skip_batch_kernel": False,
+              "out": "BENCH_perf.json", "baseline": "BENCH_perf.json",
+              "check": False, "tolerance": 0.5, "kernel_tolerance": 0.5,
+              "history": "benchmarks/BENCH_history.jsonl", "trend": False,
+              "trend_last": 20, "trend_window": 6,
+              "trend_tolerance": 0.15},
+    "batch": {"keep_going": False, "jobs": None},
+    "watch": {"interval": 1.0, "once": False, "wait": 10.0,
+              **_SERVE_CLIENT_DEFAULTS},
+    "coverage": {},
+    "runner": {"name": None, "poll": 0.5, "retry": 30.0,
+               "no_reconnect": False, "max_chunks": None,
+               "idle_exit": None, "heartbeat": 10.0, "events": None},
+    "serve": {"stop": False, "jobs": None, "events": None, "runners": None,
+              "lease_timeout": 60.0, **_SERVE_CLIENT_DEFAULTS},
+    "submit": {**_GRID_DEFAULTS, "jobs": None, "point_timeout": None,
+               "progress": False, "priority": 0, "out": None,
+               "detach": False, **_SERVE_CLIENT_DEFAULTS},
+    "queue": dict(_SERVE_CLIENT_DEFAULTS),
+    "cancel": {"pause": False, "requeue": False, **_SERVE_CLIENT_DEFAULTS},
+}
+
+_INJECT_CI = ("inject dedup --trials 3 --rate 0.02 --instructions 4000 "
+              "--jobs 2 --fault-model burst:width=3 --fault-targets all ")
+_INJECT_CI_SET = {"workload": "dedup", "trials": 3, "rate": 0.02,
+                  "instructions": 4000, "jobs": 2,
+                  "fault_model": "burst:width=3", "fault_targets": "all",
+                  "out": "artifacts/obs/coverage_results.jsonl"}
+_GRID_CI = ("campaign --task inject --workloads dedup,hmmer --seeds 0,1 "
+            "--trials 4 --instructions 30000 --rate 0.02 ")
+_GRID_CI_SET = {"task": "inject", "workloads": ["dedup", "hmmer"],
+                "seeds": [0, 1], "trials": 4, "instructions": 30_000,
+                "rate": 0.02}
+
+#: Every ``repro`` line the CI workflow runs and the two that start
+#: perfbench's serve-fleet (shell variables replaced by placeholders),
+#: with the keys it sets away from :data:`COMMAND_DEFAULTS`.  Pinned so
+#: that no flag these scripts use changes its name, dest or default.
+PINNED_ARGV = [
+    ("serve --runners 127.0.0.1:0 --state-dir D --socket S",
+     {"runners": "127.0.0.1:0", "state_dir": "D", "socket": "S"}),
+    ("runner --connect A --name runner0 --no-reconnect",
+     {"connect": "A", "name": "runner0", "no_reconnect": True}),
+    ("run swaptions --instructions 2000",
+     {"workload": "swaptions", "instructions": 2000}),
+    ("bench --check --tolerance 0.8 --kernel-tolerance 0.5 "
+     "--out BENCH_perf_current.json",
+     {"check": True, "tolerance": 0.8, "out": "BENCH_perf_current.json"}),
+    ("bench --trend", {"trend": True}),
+    ("difftest --programs 50 --seed 7 --jobs 4 "
+     "--out artifacts/obs/difftest_results.jsonl "
+     "--events artifacts/obs/difftest_events.jsonl",
+     {"programs": 50, "seed": 7, "jobs": 4,
+      "out": "artifacts/obs/difftest_results.jsonl",
+      "events": "artifacts/obs/difftest_events.jsonl"}),
+    ("difftest --self-check", {"self_check": True}),
+    ("batch -", {"file": "-"}),
+    ("campaign --task inject --workloads dedup,hmmer --seeds 0,1 "
+     "--trials 2 --instructions 4000 --jobs 2 "
+     "--out artifacts/obs/campaign_results.jsonl "
+     "--events artifacts/obs/campaign_events.jsonl",
+     {"task": "inject", "workloads": ["dedup", "hmmer"], "seeds": [0, 1],
+      "trials": 2, "instructions": 4000, "jobs": 2,
+      "out": "artifacts/obs/campaign_results.jsonl",
+      "events": "artifacts/obs/campaign_events.jsonl"}),
+    ("watch --once artifacts/obs/campaign_results.jsonl",
+     {"once": True, "path": "artifacts/obs/campaign_results.jsonl"}),
+    ("watch --once artifacts/obs/difftest_results.jsonl",
+     {"once": True, "path": "artifacts/obs/difftest_results.jsonl"}),
+    (_INJECT_CI + "--out artifacts/obs/coverage_results.jsonl",
+     _INJECT_CI_SET),
+    (_INJECT_CI + "--resume --out artifacts/obs/coverage_results.jsonl",
+     {**_INJECT_CI_SET, "resume": True}),
+    ("coverage artifacts/obs/coverage_results.jsonl",
+     {"path": "artifacts/obs/coverage_results.jsonl"}),
+    (_GRID_CI + "--jobs 1 --out DIST/serial.jsonl",
+     {**_GRID_CI_SET, "jobs": 1, "out": "DIST/serial.jsonl"}),
+    (_GRID_CI + "--jobs 1 --runners 7123 --min-runners 2 "
+     "--runner-wait 120 --out DIST/dist.jsonl "
+     "--events DIST/dist_events.jsonl",
+     {**_GRID_CI_SET, "jobs": 1, "runners": "7123", "min_runners": 2,
+      "runner_wait": 120.0, "out": "DIST/dist.jsonl",
+      "events": "DIST/dist_events.jsonl"}),
+    ("runner --connect 127.0.0.1:7123 --name victim",
+     {"connect": "127.0.0.1:7123", "name": "victim"}),
+    ("runner --connect 127.0.0.1:7123 --name survivor",
+     {"connect": "127.0.0.1:7123", "name": "survivor"}),
+    (_GRID_CI + "--jobs 2 --out DIST/pool.jsonl "
+     "--events DIST/pool_events.jsonl",
+     {**_GRID_CI_SET, "jobs": 2, "out": "DIST/pool.jsonl",
+      "events": "DIST/pool_events.jsonl"}),
+    ("serve --runners 127.0.0.1:7124 --events SERVE/serve_events.jsonl",
+     {"runners": "127.0.0.1:7124", "events": "SERVE/serve_events.jsonl"}),
+    ("runner --connect 127.0.0.1:7124 --name tcp",
+     {"connect": "127.0.0.1:7124", "name": "tcp"}),
+    ("runner --connect SERVE/serve.sock --name unix",
+     {"connect": "SERVE/serve.sock", "name": "unix"}),
+    ("submit --workloads dedup,hmmer --seeds 0,1 --instructions 4000 "
+     "--priority 1",
+     {"workloads": ["dedup", "hmmer"], "seeds": [0, 1],
+      "instructions": 4000, "priority": 1}),
+    ("submit --detach --workloads swaptions --seeds 0,1,2 "
+     "--instructions 4000",
+     {"detach": True, "workloads": ["swaptions"], "seeds": [0, 1, 2],
+      "instructions": 4000}),
+    ("queue", {}),
+    ("watch 1 --once", {"path": "1", "once": True}),
+    ("cancel 2", {"rid": 2}),
+    ("watch 2 --once --wait 30", {"path": "2", "once": True, "wait": 30.0}),
+    (_GRID_CI + "--name ci-fleet --jobs 1 --out SERVE/serial.jsonl",
+     {**_GRID_CI_SET, "name": "ci-fleet", "jobs": 1,
+      "out": "SERVE/serial.jsonl"}),
+    (_GRID_CI.replace("campaign", "submit")
+     + "--name ci-fleet --out SERVE/fleet.jsonl",
+     {**_GRID_CI_SET, "name": "ci-fleet", "out": "SERVE/fleet.jsonl"}),
+    ("serve --stop", {"stop": True}),
+]
+
+
+class TestParserContract:
+    @pytest.mark.parametrize("argv,dest,default,value", EXEC_FLAGS,
+                             ids=[flag[0][0] for flag in EXEC_FLAGS])
+    def test_execution_flag_on_every_preset(self, argv, dest, default,
+                                            value):
+        for preset in (["inject", "dedup"], ["campaign"], ["difftest"]):
+            assert vars(build_parser().parse_args(preset))[dest] == default
+            assert vars(build_parser().parse_args(preset + argv))[dest] \
+                == value
+
+    @pytest.mark.parametrize("line,changed", PINNED_ARGV,
+                             ids=[line for line, _ in PINNED_ARGV])
+    def test_pinned_namespace(self, line, changed):
+        command = line.split()[0]
+        expected = {"command": command, **COMMAND_DEFAULTS[command],
+                    **changed}
+        assert vars(build_parser().parse_args(line.split())) == expected
+
+
+class TestCampaignFrontDoor:
+    """``inject`` is a preset over the same engine path as
+    ``campaign``: the same points give the same rows and the same
+    ``coverage.json``, and every execution flag works on it."""
+
+    INJECT = ["inject", "dedup", "--instructions", "4000", "--trials", "2",
+              "--rate", "0.05"]
+
+    @staticmethod
+    def rows(path):
+        from repro.campaign import ResultStore
+
+        return {pid: (r.ok, r.metrics, r.error)
+                for pid, r in ResultStore.load(str(path)).items()}
+
+    def test_inject_matches_campaign_spec_and_resumes(self, tmp_path,
+                                                      capsys):
+        import json
+
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert main(self.INJECT + ["--out", str(a)]) == 0
+        report = capsys.readouterr().out
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"name": "inject-dedup", "points": [
+            {"task": "inject", "workload": "dedup", "instructions": 4000,
+             "seed": 0, "params": {"rate": 0.05, "trial": trial,
+                                   "cores": 4, "fabric": "f2",
+                                   "rng_key": f"cli/dedup/0/{trial}"}}
+            for trial in range(2)]}))
+        assert main(["campaign", "--spec", str(spec), "--out", str(b)]) == 0
+        rows = self.rows(a)
+        assert len(rows) == 2 and rows == self.rows(b)
+        coverage = (tmp_path / "a.jsonl.coverage.json").read_bytes()
+        assert coverage
+        assert coverage == (tmp_path / "b.jsonl.coverage.json").read_bytes()
+
+        store = a.read_bytes()
+        capsys.readouterr()
+        assert main(self.INJECT + ["--resume", "--out", str(a)]) == 0
+        assert capsys.readouterr().out == report
+        assert a.read_bytes() == store  # nothing re-ran or re-appended
+        assert (tmp_path / "a.jsonl.coverage.json").read_bytes() == coverage
+        status = json.loads(
+            (tmp_path / "a.jsonl.status.json").read_text())["points"]
+        assert status["resumed"] == 2 and status["completed"] == 0
+
+    def test_inject_resume_needs_out(self, capsys):
+        assert main(self.INJECT + ["--resume"]) == 2
+        assert "inject: --resume needs --out" in capsys.readouterr().err
