@@ -1,5 +1,5 @@
-"""Ablations over MEEK's design parameters (DESIGN.md per-experiment
-index; context for the paper's Sec. V-D analysis).
+"""Ablations over MEEK's design parameters (context for the paper's
+Sec. V-D analysis).
 
 Checks that each design choice behaves as the paper's reasoning
 predicts: shrinking the LSL multiplies checkpoints and collecting
@@ -8,14 +8,19 @@ compute-heavy code; shallow DC-Buffers convert RCP bursts into commit
 stalls even behind F2.
 """
 
-from repro.experiments import ablations
+from repro.experiments import ablations, run
 
 DYNAMIC_INSTRUCTIONS = 10_000
 
 
+def sweep(once, parameter):
+    """The rows of one sweep out of the ablations campaign."""
+    rows = once(run, "ablations", dynamic_instructions=DYNAMIC_INSTRUCTIONS)
+    return [r for r in rows if r.parameter == parameter]
+
+
 def test_ablation_lsl_size(once):
-    rows = once(ablations.sweep_lsl_size,
-                dynamic_instructions=DYNAMIC_INSTRUCTIONS)
+    rows = sweep(once, "lsl_kb")
     print()
     print(ablations.format_results(rows))
     by_size = {r.value: r for r in rows}
@@ -30,8 +35,7 @@ def test_ablation_lsl_size(once):
 
 
 def test_ablation_timeout(once):
-    rows = once(ablations.sweep_timeout,
-                dynamic_instructions=DYNAMIC_INSTRUCTIONS)
+    rows = sweep(once, "timeout")
     print()
     print(ablations.format_results(rows))
     by_timeout = {r.value: r for r in rows}
@@ -44,8 +48,7 @@ def test_ablation_timeout(once):
 
 
 def test_ablation_dc_buffer_depth(once):
-    rows = once(ablations.sweep_buffer_depth,
-                dynamic_instructions=DYNAMIC_INSTRUCTIONS)
+    rows = sweep(once, "dc_depth")
     print()
     print(ablations.format_results(rows))
     by_depth = {r.value: r for r in rows}

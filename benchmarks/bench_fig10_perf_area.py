@@ -5,13 +5,13 @@ pipelined FPU) improves the little core's performance/area by 15.2%
 geomean on PARSEC, with the biggest wins on division-heavy workloads.
 """
 
-from repro.experiments import fig10_perf_area
+from repro.experiments import fig10_perf_area, run
 
 DYNAMIC_INSTRUCTIONS = 12_000
 
 
 def test_fig10_perf_area(once):
-    rows = once(fig10_perf_area.run,
+    rows = once(run, "fig10",
                 dynamic_instructions=DYNAMIC_INSTRUCTIONS)
     print()
     print(fig10_perf_area.format_results(rows))

@@ -5,13 +5,13 @@ Paper: MEEK geomean 1.4% (SPEC) / 4.4% (PARSEC); EA-LockStep 48.7% /
 no result for gcc/omnetpp/xalancbmk/freqmine.
 """
 
-from repro.experiments import fig6_performance
+from repro.experiments import fig6_performance, run
 
 DYNAMIC_INSTRUCTIONS = 15_000
 
 
 def test_fig6_performance(once):
-    rows = once(fig6_performance.run,
+    rows = once(run, "fig6",
                 dynamic_instructions=DYNAMIC_INSTRUCTIONS)
     print()
     print(fig6_performance.format_results(rows))

@@ -5,14 +5,14 @@ covers > 99.9% of detected faults; the density is right-skewed with a
 long thin tail.
 """
 
-from repro.experiments import fig7_latency
+from repro.experiments import fig7_latency, run
 
 DYNAMIC_INSTRUCTIONS = 15_000
 RUNS_PER_WORKLOAD = 3
 
 
 def test_fig7_detection_latency(once):
-    rows = once(fig7_latency.run,
+    rows = once(run, "fig7",
                 dynamic_instructions=DYNAMIC_INSTRUCTIONS,
                 runs_per_workload=RUNS_PER_WORKLOAD)
     print()

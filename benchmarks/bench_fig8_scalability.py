@@ -4,13 +4,13 @@ Paper: 2 cores 54.9% geomean slowdown, 4 cores 4.4%, 6 cores 0.3%
 (every workload under 1%); superlinear decline with core count.
 """
 
-from repro.experiments import fig8_scalability
+from repro.experiments import fig8_scalability, run
 
 DYNAMIC_INSTRUCTIONS = 12_000
 
 
 def test_fig8_scalability(once):
-    rows = once(fig8_scalability.run,
+    rows = once(run, "fig8",
                 dynamic_instructions=DYNAMIC_INSTRUCTIONS)
     print()
     print(fig8_scalability.format_results(rows))

@@ -7,13 +7,13 @@ cuts data collection + forwarding below 5%, leaving MEEK
 computation-bound.
 """
 
-from repro.experiments import fig9_backpressure
+from repro.experiments import fig9_backpressure, run
 
 DYNAMIC_INSTRUCTIONS = 12_000
 
 
 def test_fig9_backpressure(once):
-    rows = once(fig9_backpressure.run,
+    rows = once(run, "fig9",
                 dynamic_instructions=DYNAMIC_INSTRUCTIONS)
     print()
     print(fig9_backpressure.format_results(rows))

@@ -9,10 +9,10 @@ the DSN'18 24% estimate built on twelve little cores.
 import pytest
 
 from repro.common.config import default_meek_config
-from repro.experiments import tab3_area
+from repro.experiments import run, tab3_area
 
 def test_tab3_area(once):
-    report = once(tab3_area.run)
+    report = once(run, "tab3")
     print()
     print(tab3_area.format_results(report))
 
@@ -35,7 +35,9 @@ def test_tab3_area(once):
 def test_tab3_scaling_with_core_count(once):
     """Overhead scales with little-core count (the Sec. V-F point: the
     DSN'18 budget buys only a third of the little cores in RTL)."""
-    report12 = tab3_area.run(default_meek_config(num_little_cores=12))
-    report4 = tab3_area.run(default_meek_config(num_little_cores=4))
+    report12 = tab3_area.compute_report(
+        default_meek_config(num_little_cores=12))
+    report4 = tab3_area.compute_report(
+        default_meek_config(num_little_cores=4))
     assert report12["overhead_fraction"] > 3 * report4["overhead_fraction"] * 0.8
     once(lambda: None)

@@ -385,8 +385,10 @@ def run_runner(address, name=None, poll_s=0.5, reconnect=True,
     heartbeat every ``heartbeat_s`` seconds so a legitimately slow
     unit (an unbounded point, a wide batch group) keeps renewing its
     lease instead of expiring mid-evaluation and livelocking the
-    campaign on requeues.  ``max_chunks`` / ``idle_exit_s`` bound the
-    loop for tests and drills.  Returns the number of chunks
+    campaign on requeues.  ``max_chunks`` bounds the loop for tests
+    and drills; ``idle_exit_s`` ends it once that long has passed
+    without a lease grant, whether the master is idle or gone (while
+    retrying, it wins over ``retry_s``).  Returns the number of chunks
     evaluated.
     """
     chunks_done = 0
@@ -431,6 +433,10 @@ def run_runner(address, name=None, poll_s=0.5, reconnect=True,
                 raise ConnectionError(
                     f"no master at {address}: {exc}") from exc
             now = time.monotonic()
+            # A master that finished closes its port: past the idle
+            # budget that is a normal end, not a failure to retry.
+            if idle_exit_s is not None and now - last_grant > idle_exit_s:
+                return chunks_done
             failing_since = failing_since or now
             if now - failing_since > retry_s:
                 raise ConnectionError(

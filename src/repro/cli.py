@@ -61,15 +61,15 @@ on every command that takes them:
     ``--lease-timeout``
     ===================== ============================================
 
-``inject``, ``campaign`` and ``difftest`` take every one: each builds
-its spec and hands it to one runner, :func:`_run_spec`.  ``serve``
-takes ``--jobs``, ``--events``, ``--runners`` and ``--lease-timeout``
-for the runs it serves.  Two campaign commands take a subset, on
-purpose.  ``figure`` takes only ``--jobs``, because it runs several
-fail-fast grids without a store.  ``submit`` takes ``--jobs``,
-``--point-timeout`` and ``--progress`` and forwards only what the
-master's ``submit`` request accepts: the master owns the event log and
-the runner port, and picks the store unless ``submit --out`` names one.
+``inject``, ``figure``, ``campaign`` and ``difftest`` take every one:
+each builds its spec and hands it to one runner, :func:`_run_spec`
+(``difftest --self-check`` runs no campaign and refuses all but
+``--events``).  ``serve`` takes ``--jobs``, ``--events``, ``--runners``
+and ``--lease-timeout`` for the runs it serves.  ``submit`` takes
+``--jobs``, ``--point-timeout`` and ``--progress`` and forwards only
+what the master's ``submit`` request accepts: the master owns the
+event log and the runner port, and picks the store unless ``submit
+--out`` names one.
 
 Warm path: compiled steppers are memoized on disk under
 ``~/.cache/repro`` (``$REPRO_CACHE_DIR`` overrides,
@@ -99,11 +99,12 @@ run by id — live over the socket while the master is up, falling back
 to the run's status snapshot / store on disk once it is not.
 
 Distributed campaigns: ``--runners [HOST:]PORT`` on ``campaign``,
-``inject``, ``difftest`` or ``serve`` opens a TCP runner port; ``repro
-runner --connect HOST:PORT`` processes on other machines register,
-lease chunks, and stream rows back — any mixture of remote runners
-and local shards (``--jobs``) is bit-identical to a serial run.  The
-runner port is unauthenticated: bind it only on trusted networks.
+``inject``, ``figure``, ``difftest`` or ``serve`` opens a TCP runner
+port; ``repro runner --connect HOST:PORT`` processes on other machines
+register, lease chunks, and stream rows back — any mixture of remote
+runners and local shards (``--jobs``) is bit-identical to a serial
+run.  The runner port is unauthenticated: bind it only on trusted
+networks.
 ``repro events summarize FILE`` renders an event log's per-phase
 wall-time breakdown after the fact.
 """
@@ -112,8 +113,8 @@ import argparse
 import sys
 
 from repro.common.errors import ConfigError
+from repro.experiments import FIGURES
 
-_FIGURES = ("fig6", "fig7", "fig8", "fig9", "fig10", "tab3", "ablations")
 _FABRICS = ("f2", "axi", "ideal")
 
 
@@ -202,8 +203,8 @@ def _fault_params(args, prog):
 
 def _run_spec(spec, args, prog):
     """Run ``spec`` under the execution flags in ``args`` — the one
-    path every campaign-shaped command (``inject``, ``campaign``,
-    ``difftest``) takes to the engine.  Returns the
+    path every campaign-shaped command (``inject``, ``figure``,
+    ``campaign``, ``difftest``) takes to the engine.  Returns the
     :class:`~repro.campaign.CampaignResult`, or ``None`` after printing
     a usage error."""
     from repro.campaign import ResultStore, default_jobs
@@ -499,6 +500,16 @@ def _cmd_difftest(args):
     from repro.perf.service import get_service
 
     if args.self_check:
+        # The self-check runs no campaign: an execution flag would be
+        # silently ignored, so refuse it (``--events`` still logs).
+        given = [flag for flag, kwargs in _EXEC_FLAGS.items()
+                 if flag != "--events"
+                 and getattr(args, flag[2:].replace("-", "_"))
+                 != kwargs.get("default", False)]
+        if given:
+            print(f"difftest: --self-check does not take "
+                  f"{', '.join(given)}", file=sys.stderr)
+            return 2
         _events(args)
         return _difftest_self_check(args)
 
@@ -992,30 +1003,27 @@ def _cmd_events(args):
 
 
 def _cmd_figure(args):
-    from repro.experiments import (ablations, fig6_performance, fig7_latency,
-                                   fig8_scalability, fig9_backpressure,
-                                   fig10_perf_area, tab3_area)
-    module = {
-        "fig6": fig6_performance,
-        "fig7": fig7_latency,
-        "fig8": fig8_scalability,
-        "fig9": fig9_backpressure,
-        "fig10": fig10_perf_area,
-        "tab3": tab3_area,
-        "ablations": ablations,
-    }[args.name]
-    if args.name == "tab3":
-        print(module.format_results(module.run(jobs=args.jobs)))
-    else:
-        print(module.format_results(
-            module.run(dynamic_instructions=args.instructions,
-                       jobs=args.jobs)))
+    from repro.experiments import figure
+    from repro.experiments.common import PointsFailed
+
+    module = figure(args.name)
+    spec = module.points(dynamic_instructions=args.instructions)
+    result = _run_spec(spec, args, "figure")
+    if result is None:
+        return 2
+    try:
+        rows = module.reduce(spec, result)
+    except PointsFailed as exc:
+        print(f"figure: {exc}", file=sys.stderr)
+        return 1
+    print(module.format_results(rows))
     return 0
 
 
 #: The execution flags, declared once: flag -> ``add_argument`` keyword
-#: arguments.  ``inject``, ``campaign`` and ``difftest`` take them all;
-#: ``figure`` and ``submit`` take subsets (see the module docstring).
+#: arguments.  ``inject``, ``figure``, ``campaign`` and ``difftest``
+#: take them all; ``submit`` and ``serve`` take subsets (see the module
+#: docstring).
 _EXEC_FLAGS = {
     "--jobs": dict(type=int, default=None,
                    help="worker shards (default $REPRO_JOBS or 1)"),
@@ -1141,9 +1149,9 @@ def build_parser():
 
     figure_parser = sub.add_parser("figure",
                                    help="regenerate a paper table/figure")
-    figure_parser.add_argument("name", choices=_FIGURES)
+    figure_parser.add_argument("name", choices=FIGURES)
     figure_parser.add_argument("--instructions", type=int, default=10_000)
-    _add_exec_args(figure_parser, ("--jobs",))
+    _add_exec_args(figure_parser)
 
     campaign_parser = sub.add_parser(
         "campaign",

@@ -1,6 +1,6 @@
 """Ablations over MEEK's design parameters (Sec. V-D context).
 
-Three sweeps over the design choices DESIGN.md calls out:
+Three sweeps over MEEK's sizing choices:
 
 * **LSL capacity** — the 4 KB log (256 run-time records) balances
   segment length against checker memory: smaller logs close segments
@@ -16,12 +16,25 @@ from dataclasses import dataclass
 
 from repro.analysis.report import format_table
 from repro.campaign import CampaignPoint
-from repro.experiments.runner import DEFAULT_DYNAMIC_INSTRUCTIONS, run_grid
+from repro.experiments.common import (
+    DEFAULT_DYNAMIC_INSTRUCTIONS,
+    metrics_by_id,
+    sibling_id,
+    spec_of,
+)
 
 DEFAULT_WORKLOAD = "dedup"
 LSL_SIZES_KB = (1, 2, 4, 8)
 TIMEOUTS = (500, 2000, 5000, 20000)
 BUFFER_DEPTHS = (2, 4, 16, 64)
+
+#: (swept parameter, workload, values); the parameter doubles as the
+#: ``meek`` campaign-task config key.
+SWEEPS = (
+    ("lsl_kb", DEFAULT_WORKLOAD, LSL_SIZES_KB),
+    ("timeout", "hmmer", TIMEOUTS),
+    ("dc_depth", DEFAULT_WORKLOAD, BUFFER_DEPTHS),
+)
 
 
 @dataclass
@@ -34,81 +47,39 @@ class AblationRow:
     forwarding_stalls: float
 
 
-def _sweep_points(workload, dynamic_instructions, seed, parameter, values):
-    """One vanilla baseline point plus a meek point per swept value
-    (``parameter`` doubles as the campaign-task config key)."""
-    points = [CampaignPoint(task="vanilla", workload=workload,
-                            instructions=dynamic_instructions, seed=seed)]
-    points.extend(CampaignPoint(task="meek", workload=workload,
-                                instructions=dynamic_instructions,
-                                seed=seed, params={parameter: value})
-                  for value in values)
-    return points
+def points(dynamic_instructions=DEFAULT_DYNAMIC_INSTRUCTIONS, seed=0):
+    """All three sweeps as one campaign: per sweep, a vanilla baseline
+    plus a MEEK point per swept value."""
+    grid = []
+    for parameter, workload, values in SWEEPS:
+        grid.append(CampaignPoint(task="vanilla", workload=workload,
+                                  instructions=dynamic_instructions,
+                                  seed=seed))
+        grid.extend(CampaignPoint(task="meek", workload=workload,
+                                  instructions=dynamic_instructions,
+                                  seed=seed, params={parameter: value})
+                    for value in values)
+    return spec_of("ablations", grid)
 
 
-def _sweep_rows(parameter, values, metrics):
-    base = metrics[0]["cycles"]
+def reduce(spec, result):
+    """One row per swept (parameter, value), in sweep order."""
+    metrics = metrics_by_id(spec, result)
     rows = []
-    for value, meek in zip(values, metrics[1:]):
+    for point in spec.points:
+        if point.task != "meek":
+            continue
+        [(parameter, value)] = point.params.items()
+        meek = metrics[point.point_id]
         rows.append(AblationRow(
             parameter=parameter,
             value=value,
-            slowdown=meek["cycles"] / base,
+            slowdown=(meek["cycles"]
+                      / metrics[sibling_id(point, "vanilla")]["cycles"]),
             segments=meek["segments"],
             collecting_stalls=meek["stall_cycles"]["data_collecting"],
             forwarding_stalls=meek["stall_cycles"]["data_forwarding"],
         ))
-    return rows
-
-
-def sweep_lsl_size(workload=DEFAULT_WORKLOAD,
-                   dynamic_instructions=DEFAULT_DYNAMIC_INSTRUCTIONS,
-                   sizes_kb=LSL_SIZES_KB, seed=0, jobs=None):
-    """Vary the Load-Store Log capacity."""
-    points = _sweep_points(workload, dynamic_instructions, seed,
-                           "lsl_kb", sizes_kb)
-    return _sweep_rows("lsl_kb", sizes_kb,
-                       run_grid("ablation-lsl", points, jobs=jobs))
-
-
-def sweep_timeout(workload="hmmer",
-                  dynamic_instructions=DEFAULT_DYNAMIC_INSTRUCTIONS,
-                  timeouts=TIMEOUTS, seed=0, jobs=None):
-    """Vary the checkpoint instruction timeout."""
-    points = _sweep_points(workload, dynamic_instructions, seed,
-                           "timeout", timeouts)
-    return _sweep_rows("timeout", timeouts,
-                       run_grid("ablation-timeout", points, jobs=jobs))
-
-
-def sweep_buffer_depth(workload=DEFAULT_WORKLOAD,
-                       dynamic_instructions=DEFAULT_DYNAMIC_INSTRUCTIONS,
-                       depths=BUFFER_DEPTHS, seed=0, jobs=None):
-    """Vary the DC-Buffer depth (both channels)."""
-    points = _sweep_points(workload, dynamic_instructions, seed,
-                           "dc_depth", depths)
-    return _sweep_rows("dc_depth", depths,
-                       run_grid("ablation-dc", points, jobs=jobs))
-
-
-def run(dynamic_instructions=DEFAULT_DYNAMIC_INSTRUCTIONS, seed=0,
-        jobs=None):
-    """All three sweeps, submitted as one grid so shards stay busy."""
-    sweeps = (
-        ("lsl_kb", DEFAULT_WORKLOAD, LSL_SIZES_KB),
-        ("timeout", "hmmer", TIMEOUTS),
-        ("dc_depth", DEFAULT_WORKLOAD, BUFFER_DEPTHS),
-    )
-    points, slices = [], []
-    for parameter, workload, values in sweeps:
-        start = len(points)
-        points.extend(_sweep_points(workload, dynamic_instructions, seed,
-                                    parameter, values))
-        slices.append((parameter, values, start, len(points)))
-    metrics = run_grid("ablations", points, jobs=jobs)
-    rows = []
-    for parameter, values, start, stop in slices:
-        rows.extend(_sweep_rows(parameter, values, metrics[start:stop]))
     return rows
 
 
@@ -118,7 +89,3 @@ def format_results(rows):
         [[r.parameter, r.value, r.slowdown, r.segments,
           r.collecting_stalls, r.forwarding_stalls] for r in rows],
         title="Ablations — LSL size / checkpoint timeout / DC-Buffer depth")
-
-
-if __name__ == "__main__":
-    print(format_results(run()))

@@ -16,9 +16,11 @@ from dataclasses import dataclass
 from repro.analysis.report import format_table
 from repro.analysis.stats import geomean
 from repro.campaign import CampaignPoint
-from repro.experiments.runner import (
+from repro.experiments.common import (
     DEFAULT_DYNAMIC_INSTRUCTIONS,
-    run_grid,
+    metrics_by_id,
+    sibling_id,
+    spec_of,
 )
 from repro.workloads.profiles import PARSEC_ORDER
 
@@ -37,26 +39,34 @@ class Fig10Row:
         return self.optimized_perf_area / self.default_perf_area - 1.0
 
 
-def run(dynamic_instructions=DEFAULT_DYNAMIC_INSTRUCTIONS, seed=0,
-        workloads=None, jobs=None):
+def points(dynamic_instructions=DEFAULT_DYNAMIC_INSTRUCTIONS, seed=0,
+           workloads=None):
+    """The optimized and the default little core on each workload."""
     if workloads is None:
         workloads = PARSEC_ORDER
     # A deployed checker core is core + wrapper (LSL + MSU); the
     # little_ipc task includes the wrapper in its area denominator for
     # both configurations.
-    points = [
+    return spec_of("fig10", [
         CampaignPoint(task="little_ipc", workload=name,
                       instructions=dynamic_instructions, seed=seed,
                       params={"core": kind})
         for name in workloads
         for kind in ("optimized", "default")
-    ]
-    metrics = run_grid("fig10", points, jobs=jobs)
+    ])
+
+
+def reduce(spec, result):
+    """One row per workload."""
+    metrics = metrics_by_id(spec, result)
     rows = []
-    for w, name in enumerate(workloads):
-        opt, dfl = metrics[2 * w], metrics[2 * w + 1]
+    for point in spec.points:
+        if point.params["core"] != "optimized":
+            continue
+        opt = metrics[point.point_id]
+        dfl = metrics[sibling_id(point, "little_ipc", core="default")]
         rows.append(Fig10Row(
-            name=name,
+            name=point.workload,
             optimized_ipc=opt["ipc"],
             default_ipc=dfl["ipc"],
             optimized_perf_area=opt["perf_per_mm2"],
@@ -80,7 +90,3 @@ def format_results(rows):
          "improvement"],
         table_rows,
         title="Fig. 10 — little-core performance/area (PARSEC)")
-
-
-if __name__ == "__main__":
-    print(format_results(run()))

@@ -19,12 +19,19 @@ from typing import Optional
 from repro.analysis.report import format_table
 from repro.analysis.stats import geomean
 from repro.campaign import CampaignPoint
-from repro.experiments.runner import (
+from repro.experiments.common import (
     DEFAULT_DYNAMIC_INSTRUCTIONS,
-    NZDC_COMPILE_FAILURES,
-    run_grid,
+    metrics_by_id,
+    sibling_id,
+    spec_of,
 )
 from repro.workloads.profiles import PARSEC_ORDER, SPEC_ORDER, get_profile
+
+#: Footnote 6 of the paper: "For Nzdc, compilation fails in gcc,
+#: omnetpp, xalancbmk, and freqmine."  We reproduce the evaluation
+#: protocol, including which workloads the baseline covers.
+NZDC_COMPILE_FAILURES = frozenset({"gcc", "omnetpp", "xalancbmk",
+                                   "freqmine"})
 
 
 @dataclass
@@ -36,36 +43,39 @@ class Fig6Row:
     nzdc: Optional[float]  # None when the baseline fails to compile
 
 
-def run(dynamic_instructions=DEFAULT_DYNAMIC_INSTRUCTIONS, seed=0,
-        workloads=None, jobs=None):
-    """Regenerate the Fig. 6 slowdown rows (via the campaign engine)."""
+def points(dynamic_instructions=DEFAULT_DYNAMIC_INSTRUCTIONS, seed=0,
+           workloads=None):
+    """The Fig. 6 campaign: vanilla, MEEK, EA-LockStep and (where it
+    compiles) Nzdc on each workload."""
     if workloads is None:
         workloads = SPEC_ORDER + PARSEC_ORDER
-    points, layout = [], []
-    for name in workloads:
-        tasks = ["vanilla", "meek", "lockstep"]
-        if name not in NZDC_COMPILE_FAILURES:
-            tasks.append("nzdc")
-        indices = {}
-        for task in tasks:
-            indices[task] = len(points)
-            points.append(CampaignPoint(
-                task=task, workload=name,
-                instructions=dynamic_instructions, seed=seed))
-        layout.append((name, indices))
-    metrics = run_grid("fig6", points, jobs=jobs)
+    return spec_of("fig6", [
+        CampaignPoint(task=task, workload=name,
+                      instructions=dynamic_instructions, seed=seed)
+        for name in workloads
+        for task in ("vanilla", "meek", "lockstep", "nzdc")
+        if task != "nzdc" or name not in NZDC_COMPILE_FAILURES])
+
+
+def reduce(spec, result):
+    """One slowdown row per workload."""
+    metrics = metrics_by_id(spec, result)
     rows = []
-    for name, indices in layout:
-        base = metrics[indices["vanilla"]]["cycles"]
-        nzdc_slowdown = None
-        if "nzdc" in indices:
-            nzdc_slowdown = metrics[indices["nzdc"]]["cycles"] / base
+    for point in spec.points:
+        if point.task != "vanilla":
+            continue
+        base = metrics[point.point_id]["cycles"]
+
+        def slowdown(task):
+            return metrics[sibling_id(point, task)]["cycles"] / base
+
         rows.append(Fig6Row(
-            name=name,
-            suite=get_profile(name).suite,
-            meek=metrics[indices["meek"]]["cycles"] / base,
-            lockstep=metrics[indices["lockstep"]]["cycles"] / base,
-            nzdc=nzdc_slowdown,
+            name=point.workload,
+            suite=get_profile(point.workload).suite,
+            meek=slowdown("meek"),
+            lockstep=slowdown("lockstep"),
+            nzdc=(None if point.workload in NZDC_COMPILE_FAILURES
+                  else slowdown("nzdc")),
         ))
     return rows
 
@@ -99,7 +109,3 @@ def format_results(rows):
         ["benchmark", "suite", "MEEK", "EA-LockStep", "Nzdc"],
         table_rows,
         title="Fig. 6 — slowdown vs vanilla big core")
-
-
-if __name__ == "__main__":
-    print(format_results(run()))

@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 from repro.analysis.report import format_table, render_histogram
 from repro.analysis.stats import coverage_within, density_histogram, mean
 from repro.campaign import CampaignPoint
-from repro.experiments.runner import (
+from repro.experiments.common import (
     DEFAULT_DYNAMIC_INSTRUCTIONS,
-    run_grid,
+    metrics_by_id,
+    spec_of,
 )
 from repro.workloads.profiles import PARSEC_ORDER
 
@@ -50,47 +51,39 @@ class Fig7Row:
         return self.detected / self.injections
 
 
-def run(dynamic_instructions=DEFAULT_DYNAMIC_INSTRUCTIONS,
-        runs_per_workload=3, injection_rate=0.008, seed=0, workloads=None,
-        jobs=None, fault_model=None, fault_targets=None, batch=None):
-    """Run the fault-injection campaign; returns per-workload rows.
+def points(dynamic_instructions=DEFAULT_DYNAMIC_INSTRUCTIONS,
+           runs_per_workload=3, injection_rate=0.008, seed=0,
+           workloads=None):
+    """The fault-injection campaign: one point per (workload, trial).
 
-    Every (workload, trial) cell is an independent campaign point with
-    its own injector stream (the historical ``{seed}/{name}/{trial}``
-    key), so the grid shards freely across workers.  ``fault_model``/
-    ``fault_targets`` sweep the same figure under a non-default fault
-    model (``burst:width=3``, ``stuckat:value=0``, ...); the defaults
-    keep the paper's single-bit mix and the historical point identity.
-    ``batch`` selects the lockstep batch width (``None`` = auto);
-    the rows are bit-identical at any width.
+    Each point has its own injector stream (the historical
+    ``{seed}/{name}/{trial}`` key), so the grid shards freely across
+    workers and batches into lockstep lanes with bit-identical rows.
     """
     if workloads is None:
         workloads = PARSEC_ORDER
-    fault_params = {}
-    if fault_model is not None:
-        fault_params["fault_model"] = fault_model
-    if fault_targets is not None:
-        fault_params["fault_targets"] = fault_targets
-    points = [
+    return spec_of("fig7", [
         CampaignPoint(task="inject", workload=name,
                       instructions=dynamic_instructions, seed=seed,
                       params={"rate": injection_rate, "trial": trial,
-                              **fault_params,
                               "rng_key": f"{seed}/{name}/{trial}"})
         for name in workloads
         for trial in range(runs_per_workload)
-    ]
-    metrics = run_grid("fig7", points, jobs=jobs, batch=batch)
-    rows = []
-    for w, name in enumerate(workloads):
-        row = Fig7Row(name=name, injections=0, detected=0)
-        for trial in range(runs_per_workload):
-            m = metrics[w * runs_per_workload + trial]
-            row.injections += m["injections"]
-            row.detected += m["detected"]
-            row.latencies_ns.extend(m["latencies_ns"])
-        rows.append(row)
-    return rows
+    ])
+
+
+def reduce(spec, result):
+    """One row per workload, pooling its trials."""
+    metrics = metrics_by_id(spec, result)
+    rows = {}
+    for point in spec.points:
+        m = metrics[point.point_id]
+        row = rows.setdefault(point.workload, Fig7Row(
+            name=point.workload, injections=0, detected=0))
+        row.injections += m["injections"]
+        row.detected += m["detected"]
+        row.latencies_ns.extend(m["latencies_ns"])
+    return list(rows.values())
 
 
 def aggregate(rows):
@@ -129,7 +122,3 @@ def format_results(rows):
                f"worst {agg['worst_ns']:.0f} ns, "
                f"<=3us coverage {agg['coverage_within_3us']:.3%}\n")
     return table + summary + "\n" + render_histogram(histogram(rows))
-
-
-if __name__ == "__main__":
-    print(format_results(run()))

@@ -10,9 +10,11 @@ from dataclasses import dataclass, field
 from repro.analysis.report import format_table
 from repro.analysis.stats import geomean
 from repro.campaign import CampaignPoint
-from repro.experiments.runner import (
+from repro.experiments.common import (
     DEFAULT_DYNAMIC_INSTRUCTIONS,
-    run_grid,
+    metrics_by_id,
+    sibling_id,
+    spec_of,
 )
 from repro.workloads.profiles import PARSEC_ORDER
 
@@ -25,31 +27,37 @@ class Fig8Row:
     slowdowns: dict = field(default_factory=dict)  # core count -> slowdown
 
 
-def run(dynamic_instructions=DEFAULT_DYNAMIC_INSTRUCTIONS,
-        core_counts=DEFAULT_CORE_COUNTS, seed=0, workloads=None, jobs=None):
+def points(dynamic_instructions=DEFAULT_DYNAMIC_INSTRUCTIONS,
+           core_counts=DEFAULT_CORE_COUNTS, seed=0, workloads=None):
+    """A vanilla baseline plus one MEEK point per core count, per
+    workload."""
     if workloads is None:
         workloads = PARSEC_ORDER
-    points = []
+    grid = []
     for name in workloads:
-        points.append(CampaignPoint(
+        grid.append(CampaignPoint(
             task="vanilla", workload=name,
             instructions=dynamic_instructions, seed=seed))
         for cores in core_counts:
-            points.append(CampaignPoint(
+            grid.append(CampaignPoint(
                 task="meek", workload=name,
                 instructions=dynamic_instructions, seed=seed,
                 params={"cores": cores}))
-    metrics = run_grid("fig8", points, jobs=jobs)
-    stride = 1 + len(core_counts)
-    rows = []
-    for w, name in enumerate(workloads):
-        base = metrics[w * stride]["cycles"]
-        row = Fig8Row(name=name)
-        for c, cores in enumerate(core_counts):
-            row.slowdowns[cores] = (
-                metrics[w * stride + 1 + c]["cycles"] / base)
-        rows.append(row)
-    return rows
+    return spec_of("fig8", grid)
+
+
+def reduce(spec, result):
+    """One row per workload: core count -> slowdown."""
+    metrics = metrics_by_id(spec, result)
+    rows = {}
+    for point in spec.points:
+        if point.task != "meek":
+            continue
+        base = metrics[sibling_id(point, "vanilla")]["cycles"]
+        row = rows.setdefault(point.workload, Fig8Row(name=point.workload))
+        row.slowdowns[point.params["cores"]] = (
+            metrics[point.point_id]["cycles"] / base)
+    return list(rows.values())
 
 
 def geomeans(rows, core_counts=DEFAULT_CORE_COUNTS):
@@ -77,7 +85,3 @@ def format_results(rows, core_counts=DEFAULT_CORE_COUNTS):
         ["workload"] + [f"{c}-core" for c in core_counts],
         table_rows,
         title="Fig. 8 — slowdown vs little-core count (PARSEC)")
-
-
-if __name__ == "__main__":
-    print(format_results(run()))

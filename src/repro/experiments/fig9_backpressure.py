@@ -19,9 +19,11 @@ from repro.analysis.report import format_table
 from repro.analysis.stats import geomean
 from repro.campaign import CampaignPoint
 from repro.core.controller import StallReason
-from repro.experiments.runner import (
+from repro.experiments.common import (
     DEFAULT_DYNAMIC_INSTRUCTIONS,
-    run_grid,
+    metrics_by_id,
+    sibling_id,
+    spec_of,
 )
 from repro.workloads.profiles import PARSEC_ORDER
 
@@ -38,39 +40,46 @@ class Fig9Row:
     little_core_fraction: float
 
 
-def run(dynamic_instructions=DEFAULT_DYNAMIC_INSTRUCTIONS, seed=0,
-        workloads=None, fabrics=FABRICS, jobs=None):
+def points(dynamic_instructions=DEFAULT_DYNAMIC_INSTRUCTIONS, seed=0,
+           workloads=None, fabrics=FABRICS):
+    """A vanilla baseline plus one MEEK point per fabric, per
+    workload."""
     if workloads is None:
         workloads = PARSEC_ORDER
-    points = []
+    grid = []
     for name in workloads:
-        points.append(CampaignPoint(
+        grid.append(CampaignPoint(
             task="vanilla", workload=name,
             instructions=dynamic_instructions, seed=seed))
         for fabric in fabrics:
-            points.append(CampaignPoint(
+            grid.append(CampaignPoint(
                 task="meek", workload=name,
                 instructions=dynamic_instructions, seed=seed,
                 params={"fabric": fabric}))
-    metrics = run_grid("fig9", points, jobs=jobs)
-    stride = 1 + len(fabrics)
+    return spec_of("fig9", grid)
+
+
+def reduce(spec, result):
+    """One row per (workload, fabric)."""
+    metrics = metrics_by_id(spec, result)
     rows = []
-    for w, name in enumerate(workloads):
-        base = metrics[w * stride]["cycles"]
-        for f, fabric in enumerate(fabrics):
-            meek = metrics[w * stride + 1 + f]
-            stalls = meek["stall_cycles"]
-            rows.append(Fig9Row(
-                name=name,
-                fabric=fabric,
-                slowdown=meek["cycles"] / base,
-                collecting_fraction=(
-                    stalls[StallReason.COLLECTING.value] / base),
-                forwarding_fraction=(
-                    stalls[StallReason.FORWARDING.value] / base),
-                little_core_fraction=(
-                    stalls[StallReason.LITTLE_CORE.value] / base),
-            ))
+    for point in spec.points:
+        if point.task != "meek":
+            continue
+        base = metrics[sibling_id(point, "vanilla")]["cycles"]
+        meek = metrics[point.point_id]
+        stalls = meek["stall_cycles"]
+        rows.append(Fig9Row(
+            name=point.workload,
+            fabric=point.params["fabric"],
+            slowdown=meek["cycles"] / base,
+            collecting_fraction=(
+                stalls[StallReason.COLLECTING.value] / base),
+            forwarding_fraction=(
+                stalls[StallReason.FORWARDING.value] / base),
+            little_core_fraction=(
+                stalls[StallReason.LITTLE_CORE.value] / base),
+        ))
     return rows
 
 
@@ -99,7 +108,3 @@ def format_results(rows):
          "little-core"],
         table_rows,
         title="Fig. 9 — backpressure decomposition (4 little cores)")
-
-
-if __name__ == "__main__":
-    print(format_results(run()))

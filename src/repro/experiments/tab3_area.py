@@ -16,10 +16,12 @@ from repro.analysis.area import (
     rocket_area_mm2,
 )
 from repro.analysis.report import format_table
+from repro.campaign import CampaignPoint
 from repro.common.config import (
     default_meek_config,
     default_rocket_config,
 )
+from repro.experiments.common import metrics_by_id, spec_of
 
 
 def compute_report(meek_config=None):
@@ -35,19 +37,16 @@ def compute_report(meek_config=None):
     return report
 
 
-def run(meek_config=None, jobs=None):
-    """Regenerate Table III.
+def points(dynamic_instructions=None):
+    """Table III as one analysis point.  The area model simulates
+    nothing, so ``dynamic_instructions`` is accepted (every figure
+    takes it) and ignored."""
+    return spec_of("tab3", [CampaignPoint(task="tab3")])
 
-    The default configuration routes through the campaign engine as a
-    single analysis point (so ``figure tab3`` shares the engine path);
-    an explicit ``meek_config`` is computed directly, since configs are
-    richer than campaign-point scalars.
-    """
-    if meek_config is not None:
-        return compute_report(meek_config)
-    from repro.campaign import CampaignPoint
-    from repro.experiments.runner import run_grid
-    [report] = run_grid("tab3", [CampaignPoint(task="tab3")], jobs=jobs)
+
+def reduce(spec, result):
+    """The report of the single point."""
+    [report] = metrics_by_id(spec, result).values()
     return report
 
 
@@ -71,7 +70,3 @@ def format_results(report):
          "count'", "mm2 @28nm"],
         rows,
         title="Table III — hardware overhead (28nm)")
-
-
-if __name__ == "__main__":
-    print(format_results(run()))

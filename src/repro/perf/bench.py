@@ -395,26 +395,12 @@ def _bench_batch_kernel(workload, instructions, seed, lanes=64, reps=3,
 
 def _bench_figures(figures, instructions):
     """Wall time of each requested figure driver (single-job)."""
-    from repro.experiments import (ablations, fig6_performance, fig7_latency,
-                                   fig8_scalability, fig9_backpressure,
-                                   fig10_perf_area, tab3_area)
-    modules = {
-        "fig6": fig6_performance,
-        "fig7": fig7_latency,
-        "fig8": fig8_scalability,
-        "fig9": fig9_backpressure,
-        "fig10": fig10_perf_area,
-        "tab3": tab3_area,
-        "ablations": ablations,
-    }
+    from repro.experiments import run
+
     results = {}
     for name in figures:
-        module = modules[name]
         t0 = time.perf_counter()
-        if name == "tab3":
-            module.run(jobs=1)
-        else:
-            module.run(dynamic_instructions=instructions, jobs=1)
+        run(name, jobs=1, dynamic_instructions=instructions)
         results[name] = {"wall_s": time.perf_counter() - t0,
                          "instructions": instructions}
     return results

@@ -534,22 +534,20 @@ class TestCli:
 
 class TestExperimentsThroughEngine:
     def test_fig6_sharded_matches_serial(self):
-        from repro.experiments import fig6_performance
-        serial = fig6_performance.run(dynamic_instructions=SMALL,
-                                      workloads=["hmmer"], jobs=1)
-        sharded = fig6_performance.run(dynamic_instructions=SMALL,
-                                       workloads=["hmmer"], jobs=2)
+        from repro.experiments import run
+        serial = run("fig6", dynamic_instructions=SMALL,
+                     workloads=["hmmer"], jobs=1)
+        sharded = run("fig6", dynamic_instructions=SMALL,
+                      workloads=["hmmer"], jobs=2)
         assert serial == sharded
         assert serial[0].meek < serial[0].lockstep
 
     def test_fig8_sharded_matches_serial(self):
-        from repro.experiments import fig8_scalability
-        serial = fig8_scalability.run(dynamic_instructions=SMALL,
-                                      core_counts=(2, 4),
-                                      workloads=["swaptions"], jobs=1)
-        sharded = fig8_scalability.run(dynamic_instructions=SMALL,
-                                       core_counts=(2, 4),
-                                       workloads=["swaptions"], jobs=2)
+        from repro.experiments import run
+        serial = run("fig8", dynamic_instructions=SMALL,
+                     core_counts=(2, 4), workloads=["swaptions"], jobs=1)
+        sharded = run("fig8", dynamic_instructions=SMALL,
+                      core_counts=(2, 4), workloads=["swaptions"], jobs=2)
         assert serial == sharded
 
 

@@ -561,7 +561,8 @@ class TestWatchAbortedState:
         assert view.splitlines()[0].startswith("run 9 · campaign c")
 
 
-#: The execution flags ``inject``, ``campaign`` and ``difftest`` share:
+#: The execution flags ``inject``, ``figure``, ``campaign`` and
+#: ``difftest`` share:
 #: (argv that sets the flag, dest, default, value parsed from that argv).
 EXEC_FLAGS = [
     (["--jobs", "3"], "jobs", None, 3),
@@ -687,8 +688,8 @@ PINNED_ARGV = [
       "events": "DIST/dist_events.jsonl"}),
     ("runner --connect 127.0.0.1:7123 --name victim",
      {"connect": "127.0.0.1:7123", "name": "victim"}),
-    ("runner --connect 127.0.0.1:7123 --name survivor",
-     {"connect": "127.0.0.1:7123", "name": "survivor"}),
+    ("runner --connect 127.0.0.1:7123 --name survivor --idle-exit 10",
+     {"connect": "127.0.0.1:7123", "name": "survivor", "idle_exit": 10.0}),
     (_GRID_CI + "--jobs 2 --out DIST/pool.jsonl "
      "--events DIST/pool_events.jsonl",
      {**_GRID_CI_SET, "jobs": 2, "out": "DIST/pool.jsonl",
@@ -726,7 +727,8 @@ class TestParserContract:
                              ids=[flag[0][0] for flag in EXEC_FLAGS])
     def test_execution_flag_on_every_preset(self, argv, dest, default,
                                             value):
-        for preset in (["inject", "dedup"], ["campaign"], ["difftest"]):
+        for preset in (["inject", "dedup"], ["figure", "tab3"],
+                       ["campaign"], ["difftest"]):
             assert vars(build_parser().parse_args(preset))[dest] == default
             assert vars(build_parser().parse_args(preset + argv))[dest] \
                 == value
@@ -789,3 +791,55 @@ class TestCampaignFrontDoor:
     def test_inject_resume_needs_out(self, capsys):
         assert main(self.INJECT + ["--resume"]) == 2
         assert "inject: --resume needs --out" in capsys.readouterr().err
+
+
+class TestFigureFrontDoor:
+    """``figure`` is a preset over the same engine path as ``inject``:
+    any ``--jobs`` and a resumed store print the same figure, and a
+    failed point fails the figure without a traceback."""
+
+    FIG10 = ["figure", "fig10", "--instructions", "2000"]
+
+    def test_jobs_and_resume_print_the_same(self, tmp_path, capsys):
+        assert main(self.FIG10 + ["--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert "Fig. 10" in serial
+        store = tmp_path / "f.jsonl"
+        assert main(self.FIG10 + ["--jobs", "2", "--out", str(store)]) == 0
+        assert capsys.readouterr().out == serial
+        rows = store.read_bytes()
+        assert main(self.FIG10 + ["--resume", "--out", str(store)]) == 0
+        assert capsys.readouterr().out == serial
+        assert store.read_bytes() == rows  # nothing re-ran
+
+    def test_failed_point_fails_the_figure(self, tmp_path, capsys,
+                                           monkeypatch):
+        from repro.campaign import tasks
+
+        def broken(point, campaign_name=""):
+            raise RuntimeError("broken on purpose")
+
+        monkeypatch.setitem(tasks.TASKS, "little_ipc", broken)
+        store = tmp_path / "f.jsonl"
+        argv = self.FIG10 + ["--jobs", "1", "--out", str(store)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "figure: 16/16 points failed; first failure at "
+            "little_ipc/blackscholes/2000/0/core=optimized: "
+            "RuntimeError: broken on purpose\n")
+        # The failed rows stay in the store; --resume retries them.
+        monkeypatch.undo()
+        assert main(argv + ["--resume"]) == 0
+        assert "Fig. 10" in capsys.readouterr().out
+
+    def test_difftest_self_check_refuses_execution_flags(self, tmp_path,
+                                                         capsys,
+                                                         monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["difftest", "--self-check", "--out", "x.jsonl",
+                     "--jobs", "2", "--artifacts", "art"]) == 2
+        assert capsys.readouterr().err == (
+            "difftest: --self-check does not take --jobs, --out\n")
+        assert not (tmp_path / "x.jsonl").exists()

@@ -465,6 +465,21 @@ class TestLoss:
         assert rows_of(outcome["path"]) == rows_of(serial_path)
         assert workers_of(outcome["path"]) <= {"first", "second"}
 
+    def test_idle_exit_ends_retries_after_master_is_gone(self):
+        """A finished master closes its port: a runner with an idle
+        budget exits cleanly once it passes, not after ``retry_s`` of
+        retries with an error."""
+        import socket
+
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        start = time.monotonic()
+        chunks = run_runner(f"127.0.0.1:{port}", idle_exit_s=0.3,
+                            retry_s=30.0)
+        assert chunks == 0
+        assert time.monotonic() - start < 2.0
+
     def test_no_fleet_ever_still_fails_fast(self, tmp_path):
         """The grace window only applies to a fleet that existed: a
         campaign pointed at a hub no runner ever registered with fails
