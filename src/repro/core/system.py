@@ -96,16 +96,18 @@ class MeekSystem:
 
     Build a fresh system per run: caches, predictor and fabric state are
     warm run state, exactly as a FireSim trial boots a fresh image.
+    ``hierarchy`` is the big core's memory hierarchy, built from the
+    config when omitted.
     """
 
-    def __init__(self, config=None, injector=None):
+    def __init__(self, config=None, injector=None, hierarchy=None):
         self.config = config if config is not None else default_meek_config()
         self.injector = injector
         big = ClockDomain("big", self.config.big_core.frequency_hz)
         little = ClockDomain("little", self.config.little_core.frequency_hz)
         self.clock = Clock(big, [little])
         ratio = self.clock.ratio("little")
-        self.big_core = BigCore(self.config.big_core)
+        self.big_core = BigCore(self.config.big_core, hierarchy)
         self.pipelines = [
             LittleCorePipeline(self.config.little_core, clock_ratio=ratio)
             for _ in range(self.config.num_little_cores)]

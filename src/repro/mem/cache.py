@@ -21,12 +21,14 @@ from repro.common.errors import SimulationError
 class CacheModel:
     """One cache level."""
 
-    def __init__(self, config):
+    def __init__(self, config, tags=True):
         self.config = config
         self.num_sets = config.num_sets
         self._offset_bits = config.line_bytes.bit_length() - 1
-        # Per-set list of tags, most-recently-used last.
-        self._sets = [[] for _ in range(self.num_sets)]
+        # Per-set list of tags, most-recently-used last.  A cache built
+        # without tags only queues misses (mshr_allocate): the private
+        # hierarchy of a batch lane, whose tag walk the lanes share.
+        self._sets = [[] for _ in range(self.num_sets)] if tags else None
         # Completion cycles of in-flight misses (MSHR min-heap).
         self._mshr_busy_until = []
         self._ways = config.ways

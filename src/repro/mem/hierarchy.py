@@ -36,20 +36,22 @@ class MemoryHierarchy:
 
     ``shared_l2`` lets several cores (the big core and the little
     cores' instruction paths) sit behind one L2/LLC/DRAM instance, as
-    on the Rocket Chip SoC.
+    on the Rocket Chip SoC.  ``tags=False`` builds a hierarchy that
+    only answers :meth:`latency_for_code` (miss queueing): a batch
+    lane's, whose tag walks the lanes share.
     """
 
-    def __init__(self, config=None, shared_l2=None):
+    def __init__(self, config=None, shared_l2=None, tags=True):
         self.config = config if config is not None else MemoryHierarchyConfig()
-        self.l1i = CacheModel(self.config.l1i)
-        self.l1d = CacheModel(self.config.l1d)
+        self.l1i = CacheModel(self.config.l1i, tags)
+        self.l1d = CacheModel(self.config.l1d, tags)
         if shared_l2 is not None:
             self.l2 = shared_l2.l2
             self.llc = shared_l2.llc
             self.dram = shared_l2.dram
         else:
-            self.l2 = CacheModel(self.config.l2)
-            self.llc = CacheModel(self.config.llc)
+            self.l2 = CacheModel(self.config.l2, tags)
+            self.llc = CacheModel(self.config.llc, tags)
             self.dram = DramModel(self.config.dram_latency,
                                   self.config.dram_max_requests)
         # Hit latencies and line size are config constants; resolve the

@@ -18,24 +18,43 @@ A batch therefore advances with ONE shared functional execution (the
 decoded-closure program from :mod:`repro.perf.decode`, one decode for
 the whole batch), ONE shared tag walk, and ONE shared predictor — and
 keeps per-lane only what faults can actually perturb through MEEK
-backpressure: the commit-time clock.  Per-lane timing lives in
-structure-of-arrays numpy vectors (fetch/commit cycles, scoreboards,
-occupancy windows as deques of lane-vectors, functional-unit pools as
-2-D ``free_at`` matrices).  Dormant commits — nothing to log, cannot
-trap — are absorbed with vector arithmetic against the controllers'
-inline-budget cells.  Python executes per-lane only where lanes
-genuinely differ: log-producing commits (the MEEK hook, where each
-lane's own controller/fabric/injector runs, so fault hooks fire
-per-lane), cache misses (per-lane DRAM window and L1 MSHR queueing),
-and the final trap.
+backpressure: the commit-time clock.  Per-lane timing lives in numpy
+lane-vectors (fetch, issue, completion and commit cycles; scoreboards
+and functional-unit pools as lists of vectors; occupancy windows as
+deques of them).  Dormant commits — nothing to log, cannot trap — are
+absorbed by one scalar count against the smallest remaining
+inline budget of any lane.  Python executes per-lane only where lanes
+genuinely differ: log-producing commits and budgets that run out (the
+MEEK hook, where each lane's own controller/fabric/injector runs, so
+fault hooks fire per-lane), cache misses (per-lane DRAM window and L1
+MSHR queueing), and the final trap.
 
-SoA backend: numpy.  The ``array`` module was benched as the
-alternative (see ``soa_lane_backend`` in :mod:`repro.perf.bench`) and
-loses by an order of magnitude: the recurrences here are dominated by
-element-wise ``max`` against scoreboard rows, which ``array.array``
-can only do in a Python loop while numpy does it in one fused C pass.
-When numpy is unavailable the batch kernel reports itself unavailable
-and campaigns fall back to the scalar kernel.
+SoA backend: numpy.  A ufunc call on a lane-vector costs about the
+same at 2 lanes as at 64: the price is per *dispatch* (argument
+parsing, type resolution, allocation), not per lane, so the loop is
+written to make few calls per instruction — about 13 on a two-source
+ALU instruction — with vector operands only (a Python scalar operand
+costs an extra conversion per call).  Two invariants make that
+possible:
+
+* commit times never decrease along program order, per lane.  The
+  commit-time windows (ROB, LDQ, STQ, PRF writers) therefore need one
+  ``maximum`` against the youngest entry they pop, and a lane's
+  commits in its current cycle are exactly the tail of the commit
+  history equal to its commit time, so the commit-width check is one
+  comparison and the commit slot is counted only when a hook runs;
+* functional units of one pool are interchangeable, so only the
+  multiset of their free times is observable.  Each pool keeps its
+  free times sorted per lane: issue waits on the first row, and the
+  new free time is inserted in order with ``minimum``/``maximum``
+  (no ``argmin``, no fancy indexing).
+
+The ``array`` module was benched as the alternative (see
+``soa_lane_backend`` in :mod:`repro.perf.bench`) and loses by an order
+of magnitude: the recurrences are element-wise ``max`` over lanes,
+which ``array.array`` can only do in a Python loop.  When numpy is
+unavailable the batch kernel reports itself unavailable and campaigns
+fall back to the scalar kernel.
 
 Divergence and eviction: a lane's architectural state *cannot*
 diverge — the non-interference property above is load-bearing and is
@@ -43,8 +62,8 @@ enforced by the bit-identity battery.  Eviction is therefore a purely
 defensive mechanism: a lane whose controller raises, or one forcibly
 evicted by the ``force_eviction_hook`` test hook, is dropped from the
 batch mid-run and the caller reruns that point on the scalar kernel
-from cycle 0 — which is bit-identical by definition.  Whole-engine failures abort the batch
-the same way for every lane.
+from cycle 0 — which is bit-identical by definition.  Whole-engine
+failures abort the batch the same way for every lane.
 
 ``--batch 1`` (or ``REPRO_BATCH=1``) keeps campaigns off the batch
 kernel; ``REPRO_SLOW_KERNEL=1`` (the historical escape hatch) disables
@@ -58,7 +77,7 @@ from repro.core.system import MeekSystem
 from repro.fabric.packets import RuntimeEntry
 from repro.isa.instructions import InstrClass
 from repro.isa.state import ArchState
-from repro.mem.hierarchy import AccessKind, L1_HIT
+from repro.mem.hierarchy import AccessKind, L1_HIT, MemoryHierarchy
 from repro.perf.decode import decode_program, slow_kernel_enabled
 
 try:
@@ -91,31 +110,6 @@ class BatchError(SimulationError):
 
 class _ForcedEviction(Exception):
     """Raised by the test hooks to force one lane out mid-run."""
-
-
-class _VecPool:
-    """A functional-unit pool across all lanes: ``free_at`` is
-    ``(units, lanes)``; ties go to the lowest unit index, matching the
-    scalar ``_FuPool`` linear scan."""
-
-    __slots__ = ("free_at", "_lane_index")
-
-    def __init__(self, units, lanes):
-        self.free_at = _np.zeros((max(1, units), lanes), dtype=_np.float64)
-        self._lane_index = _np.arange(lanes)
-
-    def acquire(self, ready, occupancy):
-        free_at = self.free_at
-        if free_at.shape[0] == 1:
-            row = free_at[0]
-            issue = _np.maximum(ready, row)
-            _np.add(issue, occupancy, out=row)
-            return issue
-        best = _np.argmin(free_at, axis=0)
-        lanes = self._lane_index
-        issue = _np.maximum(ready, free_at[best, lanes])
-        free_at[best, lanes] = issue + occupancy
-        return issue
 
 
 class _Plan:
@@ -234,12 +228,17 @@ class _BatchEngine:
         # per-lane); the big core contributes the lane's private
         # DRAM/MSHR queueing state.  Lane 0's big core additionally
         # donates the *shared* tag state, predictor and FU tables —
-        # tag walks and latency resolution touch disjoint state.
+        # tag walks and latency resolution touch disjoint state — so
+        # the other lanes' hierarchies are built without tags.
         self.systems = []
         self.controllers = []
         self.lane_mem = []
         for injector in injectors:
-            system = MeekSystem(config, injector=injector)
+            hierarchy = None
+            if self.systems:
+                hierarchy = MemoryHierarchy(config.big_core.memory,
+                                            tags=False)
+            system = MeekSystem(config, injector, hierarchy)
             controller = system.attach(program, self.state)
             self.systems.append(system)
             self.controllers.append(controller)
@@ -247,10 +246,8 @@ class _BatchEngine:
         donor = self.systems[0].big_core
         self.shared_mem = donor.hierarchy
         self.predictor = donor.predictor
-        from repro.perf.decode import CLASS_LIST
-        self.pools = {
-            cls: _VecPool(len(donor._pools[cls].free_at), self.lanes)
-            for cls in CLASS_LIST}
+        self.units = {cls: len(pool.free_at)
+                      for cls, pool in donor._pools.items()}
         self.latency = donor._latency
         self.occupancy = donor._occupancy
         self.classify = self.controllers[0].deu.classify
@@ -292,7 +289,11 @@ class _BatchEngine:
         controllers = self.controllers
         lane_mem = self.lane_mem
         live = self.live
+        add = np.add
         maximum = np.maximum
+        minimum = np.minimum
+        array = np.array
+        f64 = np.float64
 
         from repro.bigcore.core import BTB_BUBBLE_CYCLES, FRONTEND_DEPTH
         fetch_width = cfg.fetch_width
@@ -303,49 +304,101 @@ class _BatchEngine:
         stq_entries = cfg.stq_entries
         int_prf_window = max(1, cfg.int_phys_regs - 32)
         fp_prf_window = max(1, cfg.fp_phys_regs - 32)
-        redirect_extra = max(1, cfg.mispredict_penalty - FRONTEND_DEPTH)
-        l1i_hit = shared.config.l1i.hit_latency
-        l1d_hit = shared.config.l1d.hit_latency
         ifetch_kind = AccessKind.IFETCH
         load_kind = AccessKind.LOAD
         store_kind = AccessKind.STORE
 
-        # One (plan, pool, latency, occupancy) row per static
-        # instruction: the per-instruction dict lookups, resolved once.
-        pools = self.pools
-        latency = self.latency
-        occupancy = self.occupancy
-        steps = [(p, pools[p.cls], latency.get(p.cls, 1),
-                  occupancy.get(p.cls, 1)) for p in plans]
+        # Lane-vector constants: a ufunc resolves two same-typed array
+        # operands faster than an array and a Python scalar.
+        constants = {}
+
+        def const(value):
+            vec = constants.get(value)
+            if vec is None:
+                vec = constants[value] = np.full(lanes, value, f64)
+            return vec
+
+        zero = const(0)
+        one = const(1)
+        frontend = const(FRONTEND_DEPTH)
+        redirect = const(max(1, cfg.mispredict_penalty - FRONTEND_DEPTH))
+        btb_bubble = const(BTB_BUBBLE_CYCLES)
+
+        # Every lane-vector below is immutable once published (to a
+        # scoreboard, a pool or a window); only a vector still being
+        # built in this iteration is written in place.  Scoreboards and
+        # pools therefore hold references and never copy.
+        int_ready = [zero] * 32
+        fp_ready = [zero] * 32
+        # A pool holds each lane's unit free times as ``units`` rows,
+        # ascending per lane.  Units are interchangeable, so only the
+        # multiset of free times is observable: issue takes row 0 and
+        # the new free time is inserted in order.
+        pools = {cls: [zero] * units for cls, units in self.units.items()}
+
+        # One row per static instruction: every per-instruction lookup
+        # (pool, latency and occupancy vectors, source scoreboards)
+        # resolved once.  ``occ`` is None when the freed-at time equals
+        # the completion time, so the completion vector is reused.
+        steps = []
+        for p in plans:
+            pool = pools[p.cls]
+            if p.is_load:
+                lat = const(shared.config.l1d.hit_latency)
+                occ = one
+            else:
+                cycles = 1 if p.is_store else self.latency.get(p.cls, 1)
+                occupancy = 1 if p.is_store else self.occupancy.get(p.cls, 1)
+                lat = const(cycles)
+                occ = None if occupancy == cycles else const(occupancy)
+            # x0 stays at cycle 0, which every ready time already
+            # passes; a register read twice needs one ``maximum``.
+            int_regs = {reg for reads, reg in ((p.reads_i1, p.rs1),
+                                               (p.reads_i2, p.rs2))
+                        if reads and reg}
+            fp_regs = {reg for reads, reg in ((p.reads_f1, p.rs1),
+                                              (p.reads_f2, p.rs2))
+                       if reads}
+            sources = tuple([(int_ready, reg) for reg in sorted(int_regs)]
+                            + [(fp_ready, reg) for reg in sorted(fp_regs)])
+            steps.append((p, pool, range(1, len(pool)), lat, occ,
+                          sources, p.is_load, p.is_store,
+                          p.is_branch, p.is_jump, p.writes_int,
+                          p.writes_fp, p.rd))
 
         from collections import deque
-        int_ready = np.zeros((32, lanes), dtype=np.float64)
-        fp_ready = np.zeros((32, lanes), dtype=np.float64)
+        # Occupancy windows.  Commit times never decrease along program
+        # order, so the commit-time windows (ROB, LDQ, STQ, PRF writers)
+        # hold ``(index, commit)`` pairs and one ``maximum`` against the
+        # youngest entry popped covers them all.  The IQ holds issue
+        # times, which carry no such order.
         rob = deque()
         iq = deque()
         ldq = deque()
         stq = deque()
         int_writers = deque()
         fp_writers = deque()
+        # The last ``commit_width`` commit vectors.  A lane's commits in
+        # its current cycle are the tail of this history that equals its
+        # commit time, so the commit-width check is one comparison with
+        # the oldest entry and the slot is counted only when a hook needs
+        # it.
+        recent = deque(maxlen=commit_width)
+        bump = np.zeros(lanes, dtype=bool)
 
-        nfc = np.zeros(lanes, dtype=np.float64)     # next fetch cycle
-        last_commit = np.zeros(lanes, dtype=np.float64)
-        ctc = np.zeros(lanes, dtype=np.int64)       # committed this cycle
+        nfc = zero                                  # next fetch cycle
+        nfc_fd = None                   # nfc + FRONTEND_DEPTH, on demand
+        last_commit = zero
         fetched = 0                                 # lane-invariant
         cur_line = None                             # lane-invariant
-        # Mirror of each controller's inline-budget cell [count, budget].
-        hot0 = np.zeros(lanes, dtype=np.int64)
-        hot1 = np.zeros(lanes, dtype=np.int64)
-        for b, ctrl in enumerate(controllers):
-            hot0[b], hot1[b] = ctrl._hot
-        # Scratch vectors reused every iteration (they never escape
-        # one loop trip; anything appended to a window deque or a
-        # scoreboard row is a fresh array or a row-copy assignment).
-        complete = np.zeros(lanes, dtype=np.float64)
-        same = np.zeros(lanes, dtype=bool)
-        bump = np.zeros(lanes, dtype=bool)
-        absorbed = np.zeros(lanes, dtype=np.int64)
-        fire = np.zeros(lanes, dtype=bool)
+        # Each controller's inline-budget cell [count, budget]: the
+        # count is as of the lane's last hook, and the ``pending``
+        # dormant commits since then are owed to every live lane.  No
+        # lane fires while ``pending + 1`` stays below ``slack``, the
+        # smallest remaining budget.
+        hots = [ctrl._hot for ctrl in controllers]
+        pending = 0
+        slack = min(hots[b][1] - hots[b][0] for b in live)
 
         check_forced = force_eviction_hook is not None
         occupancy_sum = 0
@@ -359,133 +412,149 @@ class _BatchEngine:
             idx = offset >> 2
             if idx >= n_static:
                 break
-            p, pool, lat, occ = steps[idx]
+            (p, pool, units, lat, occ, sources, is_load, is_store,
+             is_branch, is_jump, writes_int, writes_fp, rd) = steps[idx]
 
             # ---- fetch (shared tag walk, per-lane miss queueing) -----
-            # ``nfc`` doubles as this instruction's fetch cycle: it is
-            # only rebound (never mutated in place) between here and
-            # the control-flow handlers that read it.
+            # ``nfc`` doubles as this instruction's fetch cycle until
+            # the control-flow handlers rebind it.
             line = pc >> 6
             if line != cur_line:
                 code = shared.lookup_code(pc, ifetch_kind)
                 if code != L1_HIT:
+                    times = nfc.tolist()
                     for b in live:
-                        nfc[b] += lane_mem[b].latency_for_code(
-                            code, float(nfc[b]), ifetch_kind)
+                        times[b] += lane_mem[b].latency_for_code(
+                            code, times[b], ifetch_kind)
+                    nfc = array(times, f64)
+                    nfc_fd = None
                     fetched = 0
                 cur_line = line
             if fetched >= fetch_width:
-                nfc += 1
+                nfc = add(nfc, one)
+                nfc_fd = None
                 fetched = 0
             fetched += 1
 
             # ---- rename/dispatch (occupancy windows) -----------------
-            rename = nfc + FRONTEND_DEPTH
+            if nfc_fd is None:
+                nfc_fd = add(nfc, frontend)
+            rename = nfc_fd
+            youngest = -1
             if len(rob) >= rob_entries:
-                maximum(rename, rob.popleft(), out=rename)
+                youngest, held = rob.popleft()
+            if is_load and len(ldq) >= ldq_entries:
+                entry = ldq.popleft()
+                if entry[0] > youngest:
+                    youngest, held = entry
+            if is_store and len(stq) >= stq_entries:
+                entry = stq.popleft()
+                if entry[0] > youngest:
+                    youngest, held = entry
+            if writes_int and len(int_writers) >= int_prf_window:
+                entry = int_writers.popleft()
+                if entry[0] > youngest:
+                    youngest, held = entry
+            if writes_fp and len(fp_writers) >= fp_prf_window:
+                entry = fp_writers.popleft()
+                if entry[0] > youngest:
+                    youngest, held = entry
+            if youngest >= 0:
+                rename = maximum(rename, held)
             if len(iq) >= iq_entries:
-                maximum(rename, iq.popleft(), out=rename)
-            if p.is_load and len(ldq) >= ldq_entries:
-                maximum(rename, ldq.popleft(), out=rename)
-            if p.is_store and len(stq) >= stq_entries:
-                maximum(rename, stq.popleft(), out=rename)
-            if p.writes_int and len(int_writers) >= int_prf_window:
-                maximum(rename, int_writers.popleft(), out=rename)
-            if p.writes_fp and len(fp_writers) >= fp_prf_window:
-                maximum(rename, fp_writers.popleft(), out=rename)
+                rename = maximum(rename, iq.popleft())
 
-            # ---- operand readiness (aliases rename, dead below) ------
-            rename += 1
-            ready = rename
-            if p.reads_i1:
-                maximum(ready, int_ready[p.rs1], out=ready)
-            if p.reads_i2:
-                maximum(ready, int_ready[p.rs2], out=ready)
-            if p.reads_f1:
-                maximum(ready, fp_ready[p.rs1], out=ready)
-            if p.reads_f2:
-                maximum(ready, fp_ready[p.rs2], out=ready)
+            # ---- operand readiness, issue (``ready`` becomes issue) --
+            issue = add(rename, one)
+            for board, reg in sources:
+                maximum(issue, board[reg], out=issue)
+            maximum(issue, pool[0], out=issue)
 
             # ---- functional execution (shared, once per batch) -------
             result = p.fn(state, None, None)
 
-            # ---- issue + complete ------------------------------------
-            if p.is_load:
-                issue = pool.acquire(ready, 1)
+            # ---- complete, and the unit's new free time --------------
+            if is_load:
                 code = shared.lookup_code(result.mem_addr, load_kind)
                 if code == L1_HIT:
-                    np.add(issue, l1d_hit, out=complete)
+                    complete = add(issue, lat)
                 else:
-                    np.copyto(complete, issue)
+                    times = issue.tolist()
                     for b in live:
-                        complete[b] += lane_mem[b].latency_for_code(
-                            code, float(issue[b]), load_kind)
-            elif p.is_store:
-                issue = pool.acquire(ready, 1)
-                np.add(issue, 1, out=complete)
+                        times[b] += lane_mem[b].latency_for_code(
+                            code, times[b], load_kind)
+                    complete = array(times, f64)
             else:
-                issue = pool.acquire(ready, occ)
-                np.add(issue, lat, out=complete)
+                complete = add(issue, lat)
+            free = complete if occ is None else add(issue, occ)
+            for unit in units:
+                later = pool[unit]
+                pool[unit - 1] = minimum(free, later)
+                free = maximum(free, later)
+            pool[-1] = free
 
             # ---- control flow / prediction (shared outcome) ----------
-            if p.is_branch:
+            if is_branch:
                 outcome = predictor.predict_and_update(
                     pc, result.taken,
                     target=result.next_pc if result.taken else None)
                 if outcome == "mispredict":
-                    nfc = complete + redirect_extra
+                    nfc = add(complete, redirect)
+                    nfc_fd = None
                     fetched = 0
                     cur_line = None
                 elif outcome == "btb_bubble":
-                    nfc = nfc + BTB_BUBBLE_CYCLES
+                    nfc = add(nfc, btb_bubble)
+                    nfc_fd = None
                     fetched = 0
                     cur_line = None
                 elif result.taken:
-                    nfc = nfc + 1
+                    nfc = add(nfc, one)
+                    nfc_fd = None
                     fetched = 0
                     cur_line = None
-            elif p.is_jump:
+            elif is_jump:
                 if p.op == "jal":
-                    if p.rd == _RA:
+                    if rd == _RA:
                         predictor.predict_call(pc, pc + 4)
                     correct = True
                 else:  # jalr
-                    if p.rd == _RA:
+                    if rd == _RA:
                         predictor.predict_call(pc, pc + 4)
                         correct = predictor.predict_indirect(
                             pc, result.next_pc)
-                    elif p.rs1 == _RA and p.rd == 0:
+                    elif p.rs1 == _RA and rd == 0:
                         correct = predictor.predict_return(pc, result.next_pc)
                     else:
                         correct = predictor.predict_indirect(
                             pc, result.next_pc)
                 if not correct:
-                    nfc = complete + redirect_extra
+                    nfc = add(complete, redirect)
                 else:
-                    nfc = nfc + 1
+                    nfc = add(nfc, one)
+                nfc_fd = None
                 fetched = 0
                 cur_line = None
 
             # ---- commit head -----------------------------------------
-            commit = complete + 1
+            commit = add(complete, one)
             maximum(commit, last_commit, out=commit)
-            np.equal(commit, last_commit, out=same)
-            np.greater_equal(ctc, commit_width, out=bump)
-            np.logical_and(bump, same, out=bump)
-            if bump.any():
-                commit[bump] += 1
-                ctc[bump] = 0
-            np.logical_not(same, out=same)
-            ctc[same] = 0
+            if len(recent) == commit_width:
+                # Equal to the commit ``commit_width`` back means the
+                # whole tail shares this cycle: the cycle is full.
+                np.equal(commit, recent[0], out=bump)
+                if np.count_nonzero(bump):
+                    add(commit, bump, out=commit)
 
-            if p.is_store:
+            if is_store:
                 # Write buffer retires the store after commit (before
                 # the hook sees the instruction, as on the scalar path).
                 code = shared.lookup_code(result.mem_addr, store_kind)
                 if code != L1_HIT:
+                    times = commit.tolist()
                     for b in live:
                         lane_mem[b].latency_for_code(
-                            code, float(commit[b]), store_kind)
+                            code, times[b], store_kind)
 
             # ---- the MEEK hook (genuinely per-lane) ------------------
             trap = result.trap
@@ -502,78 +571,78 @@ class _BatchEngine:
                     # once — and hand each lane its own copy to
                     # corrupt/buffer/compare independently.
                     template = RuntimeEntry(rkind, addr, data, size)
-                for b in tuple(live):
+                hooked = tuple(live)
+            elif pending + 1 < slack:
+                # Dormant commit, absorbed by every lane's budget.
+                pending += 1
+                hooked = None
+            else:
+                # Some lane's budget runs out here: it enters the hook
+                # with its count; the rest absorb this commit too.
+                rkind, addr, data, size = None, 0, 0, 0
+                template = None
+                absorbed = pending + 1
+                hooked = []
+                for b in live:
+                    hot = hots[b]
+                    if hot[0] + absorbed >= hot[1]:
+                        hooked.append(b)
+                    else:
+                        hot[0] += absorbed
+            if hooked is not None:
+                # A lane's commit slot: how many of its latest commits
+                # share its commit cycle.
+                times = commit.tolist()
+                slots = [0] * lanes
+                sharing = hooked
+                for prior in reversed(recent):
+                    prior = prior.tolist()
+                    sharing = [b for b in sharing if prior[b] == times[b]]
+                    if not sharing:
+                        break
+                    for b in sharing:
+                        slots[b] += 1
+                stalled = False
+                for b in hooked:
                     try:
                         if check_forced and self._should_force_evict(b, index):
                             raise _ForcedEviction
                         ctrl = controllers[b]
-                        hot = ctrl._hot
-                        hot[0] = int(hot0[b])
+                        ctrl._hot[0] += pending
+                        t = times[b]
                         newc = ctrl.fast_commit(
-                            index, pc, float(commit[b]), int(ctc[b]), trap,
+                            index, pc, t, slots[b], trap,
                             rkind, addr, data, size,
-                            prebuilt=(None if template is None
-                                      else template.copy()))
-                        if newc > commit[b]:
-                            ctc[b] = 0
-                            commit[b] = newc
-                        hot0[b] = hot[0]
-                        hot1[b] = hot[1]
+                            None if template is None else template.copy())
+                        if newc > t:
+                            times[b] = newc
+                            stalled = True
                     except _ForcedEviction:
                         self._evict(b, "forced")
                     except Exception:
                         self._evict(b, "hook-error")
-            else:
-                np.add(hot0, 1, out=absorbed)
-                np.greater_equal(absorbed, hot1, out=fire)
-                if fire.any():
-                    # Firing lanes keep their count (the hook writes it
-                    # back); the rest absorb this dormant commit.
-                    np.less(absorbed, hot1, out=same)
-                    np.copyto(hot0, absorbed, where=same)
-                    for b in tuple(live):
-                        if not fire[b]:
-                            continue
-                        try:
-                            if (check_forced
-                                    and self._should_force_evict(b, index)):
-                                raise _ForcedEviction
-                            ctrl = controllers[b]
-                            hot = ctrl._hot
-                            hot[0] = int(hot0[b])
-                            newc = ctrl.fast_commit(
-                                index, pc, float(commit[b]), int(ctc[b]),
-                                None, None, 0, 0, 0)
-                            if newc > commit[b]:
-                                ctc[b] = 0
-                                commit[b] = newc
-                            hot0[b] = hot[0]
-                            hot1[b] = hot[1]
-                        except _ForcedEviction:
-                            self._evict(b, "forced")
-                        except Exception:
-                            self._evict(b, "hook-error")
-                else:
-                    # Every lane absorbed: swap the buffers instead of
-                    # copying absorbed counts back.
-                    hot0, absorbed = absorbed, hot0
+                if stalled:
+                    commit = array(times, f64)
+                pending = 0
+                slack = min([hots[b][1] - hots[b][0] for b in live])
 
             last_commit = commit
-            ctc += 1
+            recent.append(commit)
 
             # ---- bookkeeping -----------------------------------------
-            rob.append(commit)
+            entry = (index, commit)
+            rob.append(entry)
             iq.append(issue)
-            if p.is_load:
-                ldq.append(commit)
-            elif p.is_store:
-                stq.append(commit)
-            if p.writes_int and p.rd:
-                int_ready[p.rd] = complete
-                int_writers.append(commit)
-            if p.writes_fp:
-                fp_ready[p.rd] = complete
-                fp_writers.append(commit)
+            if is_load:
+                ldq.append(entry)
+            elif is_store:
+                stq.append(entry)
+            if writes_int and rd:
+                int_ready[rd] = complete
+                int_writers.append(entry)
+            if writes_fp:
+                fp_ready[rd] = complete
+                fp_writers.append(entry)
 
             occupancy_sum += len(live)
             index += 1
@@ -582,11 +651,11 @@ class _BatchEngine:
                 break
 
         self._occupancy_sum = occupancy_sum
-        return self._finish(index, last_commit, hot0, halted_by)
+        return self._finish(index, last_commit, pending, halted_by)
 
     # -- teardown ----------------------------------------------------------
 
-    def _finish(self, instructions, last_commit, hot0, halted_by):
+    def _finish(self, instructions, last_commit, pending, halted_by):
         from repro.bigcore.core import RunResult
         predictor_stats = self.predictor.stats()
         memory_stats = self.shared_mem.stats()
@@ -594,7 +663,7 @@ class _BatchEngine:
         for b in tuple(self.live):
             cycles = float(last_commit[b])
             controller = self.controllers[b]
-            controller._hot[0] = int(hot0[b])
+            controller._hot[0] += pending
             big = RunResult(
                 instructions=instructions, cycles=cycles, state=self.state,
                 predictor_stats=predictor_stats, memory_stats=memory_stats,

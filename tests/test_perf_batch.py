@@ -15,6 +15,7 @@ every canonical fault model, forced mid-run evictions, batch widths
 import json
 import os
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -47,7 +48,7 @@ def _fresh(monkeypatch, no_segmemo=False, no_batch=False):
 
 
 def _points(workload, trials, instructions=1_500, rate=0.01, seed=0,
-            model=None, targets=None, lsl_kb=None):
+            model=None, targets=None, lsl_kb=None, timeout=None):
     params = {"rate": rate}
     if model is not None:
         params["fault_model"] = model
@@ -55,6 +56,8 @@ def _points(workload, trials, instructions=1_500, rate=0.01, seed=0,
         params["fault_targets"] = targets
     if lsl_kb is not None:
         params["lsl_kb"] = lsl_kb
+    if timeout is not None:
+        params["timeout"] = timeout
     return [CampaignPoint(task="inject", workload=workload,
                           instructions=instructions, seed=seed,
                           params={**params, "trial": trial,
@@ -194,11 +197,12 @@ def _lane_facts(result, injector):
             repr(result.controller.stats()))
 
 
-def _scalar_facts(points):
+def _scalar_facts(points, config=None):
     facts = []
     for point in points:
         injector = _make_injector(point, "t")
-        system = MeekSystem(build_config(point.params), injector=injector)
+        system = MeekSystem(config or build_config(point.params),
+                            injector=injector)
         facts.append(_lane_facts(system.run(build_program(point)),
                                  injector))
     return facts
@@ -289,6 +293,122 @@ def test_follower_drives_its_lazy_leader(monkeypatch):
         == [reference[1]] * 4
     assert checks, "no follower consulted an in-flight recording"
     assert max(checks) == 0, "a follower stopped short of its log"
+
+
+# -- big-core shapes no campaign point reaches -------------------------------
+
+#: Campaign parameters never change the big core, so these widths and
+#: window sizes run only here.  Each one changes bodytrack's cycle count
+#: against the default core (checked below), so each is exercised.
+BIG_CORE_CASES = {
+    "int_alus=1": {"int_alus": 1},
+    "int_alus=3": {"int_alus": 3},
+    "int_alus=4": {"int_alus": 4},
+    "mem_units=1": {"mem_units": 1},
+    "mem_units=3": {"mem_units": 3},
+    "commit_width=1": {"commit_width": 1},
+    "commit_width=3": {"commit_width": 3},
+    "small windows": {"rob_entries": 8, "issue_queue_entries": 6,
+                      "ldq_entries": 2, "stq_entries": 2,
+                      "int_phys_regs": 36, "fp_phys_regs": 36},
+}
+
+
+@pytest.mark.parametrize("case", list(BIG_CORE_CASES))
+def test_big_core_shapes_batch_matches_scalar(case, monkeypatch):
+    """Every functional-unit pool width, commit width and binding
+    occupancy window: ``run_batch`` equals ``MeekSystem.run`` per lane."""
+    from repro.perf.batch import run_batch
+
+    points = _points("bodytrack", 4, instructions=2_000)
+    default = build_config(points[0].params)
+    config = replace(default, big_core=replace(default.big_core,
+                                               **BIG_CORE_CASES[case]))
+    _fresh(monkeypatch, no_segmemo=True)
+    reference = _scalar_facts(points, config)
+    baseline = _scalar_facts(points[:1], default)
+    assert (json.loads(reference[0][0])["cycles"]
+            != json.loads(baseline[0][0])["cycles"]), \
+        f"{case} does not change the timing: the comparison is vacuous"
+    _fresh(monkeypatch)
+    injectors = [_make_injector(point, "t") for point in points]
+    outcome = run_batch(config, build_program(points[0]), injectors)
+    assert outcome.evicted == [None] * len(points)
+    assert [_lane_facts(result, injector) for result, injector
+            in zip(outcome.results, injectors)] == reference
+
+
+def test_int_and_fp_sources_with_one_register_number():
+    """``fsd f5, 0(x5)`` waits on both x5 and f5: the two scoreboards
+    are separate even where the register numbers coincide."""
+    from repro.common.config import default_meek_config
+    from repro.isa.assembler import assemble
+    from repro.perf.batch import run_batch
+
+    source = "\n".join(
+        ["addi x5, x0, 64", "addi x6, x0, 3", "fcvt.d.l f1, x6",
+         "fcvt.d.l f2, x6"]
+        + ["fdiv.d f5, f1, f2", "fsd f5, 0(x5)", "addi x5, x5, 8"] * 40
+        + ["ecall"])
+    program = assemble(source, name="int-fp-sources")
+    config = default_meek_config()
+    reference = MeekSystem(config).run(program)
+    outcome = run_batch(config, program, [None, None])
+    assert ([(result.cycles, repr(result.controller.stats()))
+             for result in outcome.results]
+            == [(reference.cycles, repr(reference.controller.stats()))] * 2)
+
+
+def test_dormant_budgets_fire_apart_with_eviction(monkeypatch):
+    """A 250-instruction timeout over a 1 KB LSL: lanes whose LSL
+    filled at different instructions run out of budget at different
+    instructions, so only some lanes enter the hook on those dormant
+    commits.  Lane 1 is evicted after them, mid-run."""
+    from repro.perf import batch as batch_kernel
+
+    evict_from = 3_600
+    points = _points("streamcluster", 5, instructions=4_000, rate=0.005,
+                     lsl_kb=1, timeout=250)
+    reference = _scalar_rows(points, monkeypatch)
+    _fresh(monkeypatch)
+    seen = []
+
+    def hook(lane, index):
+        seen.append((lane, index))
+        return lane == 1 and index >= evict_from
+
+    monkeypatch.setattr(batch_kernel, "force_eviction_hook", hook)
+    metrics, stats = run_inject_batch(points, "t")
+    assert [json.dumps(m, sort_keys=True) for m in metrics] == reference
+    assert stats["evictions"] == {"forced": 1}
+    entered = {}
+    for lane, index in seen:
+        if index < evict_from:
+            entered.setdefault(index, set()).add(lane)
+    assert any(lanes != set(range(len(points)))
+               for lanes in entered.values()), \
+        "every hook entry took every lane: no budget fired apart"
+
+
+def test_swaptions_fractional_commit_times(monkeypatch):
+    """Past about 6k instructions, swaptions commits at non-integral
+    cycles; every lane-vector operation must stay exact on them."""
+    from repro.core.controller import MeekController
+
+    points = _points("swaptions", 4, instructions=8_000, rate=0.0005)
+    reference = _scalar_rows(points, monkeypatch)
+    _fresh(monkeypatch)
+    fractional = []
+    original = MeekController.fast_commit
+
+    def fast_commit(self, index, pc, t, *args, **kwargs):
+        if t != int(t):
+            fractional.append(index)
+        return original(self, index, pc, t, *args, **kwargs)
+
+    monkeypatch.setattr(MeekController, "fast_commit", fast_commit)
+    assert _batch_rows(points, monkeypatch) == reference
+    assert fractional, "every commit was integral: the check is vacuous"
 
 
 # -- segment-memo soundness ---------------------------------------------------
