@@ -14,6 +14,67 @@ penalty when the answer is no.
 
 from repro.common.bitops import mask
 
+#: Global history register width (Table II: up to 64 bits).
+_HISTORY_MASK = mask(64)
+
+
+def xor_fold_expr(name, width, length):
+    """Source of ``BranchPredictor._fold(name, width)`` for ``0 <= name
+    < 2**length``: the XOR of the value shifted by every multiple of
+    ``width`` below ``length``, masked once (no mask when the value
+    already fits in ``width`` bits)."""
+    terms = " ^ ".join([name] + [f"({name} >> {shift})"
+                                 for shift in range(width, length, width)])
+    if length > width:
+        return f"({terms}) & {(1 << width) - 1}"
+    return terms
+
+
+_direction_makers = {}
+
+
+def _direction_maker(table_bits, lengths):
+    """A maker for the longest-match TAGE scan, unrolled over the
+    tables with every fold inlined as :func:`xor_fold_expr` (PCs and
+    history are at most 64 bits).  ``maker(tables, base, base_mask)``
+    returns ``direction(pc, history) -> (taken?, provider table or
+    None, provider index)``."""
+    key = (table_bits, tuple(lengths))
+    maker = _direction_makers.get(key)
+    if maker is not None:
+        return maker
+    index_mask = (1 << table_bits) - 1
+    lines = [
+        "def maker(tables, base, base_mask):",
+        f"    ({''.join(f'T{t}, ' for t in range(len(lengths)))}) = tables",
+        "    def direction(pc, history):",
+        "        word = pc >> 2",
+        f"        pc_index = {xor_fold_expr('word', table_bits, 64)}",
+        f"        pc_tag = {xor_fold_expr('word', 8, 64)}",
+    ]
+    for table in reversed(range(len(lengths))):
+        length = lengths[table]
+        lines += [
+            f"        hist = history & {(1 << length) - 1}",
+            f"        index = (pc_index ^ "
+            f"{xor_fold_expr('hist', table_bits, length)} ^ {table})"
+            f" & {index_mask}",
+            f"        entry = T{table}.get(index)",
+            "        if entry is not None and entry.tag == ("
+            f"pc_tag ^ {xor_fold_expr('hist', 8, length)} ^ {table << 1})"
+            " & 0xFF:",
+            f"            return entry.counter >= 4, {table}, index",
+        ]
+    lines += [
+        "        counter = base.get(word & base_mask, 2)",
+        "        return counter >= 2, None, None",
+        "    return direction",
+    ]
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    maker = _direction_makers[key] = namespace["maker"]
+    return maker
+
 
 class _TaggedEntry:
     __slots__ = ("tag", "counter", "useful")
@@ -45,8 +106,13 @@ class BranchPredictor:
         # committed branch, so per-call mask() construction is pure
         # hot-path waste.
         self._index_mask = mask(table_bits)
+        self._base_mask = mask(self.BASE_BITS)
         self._history_masks = [mask(length)
                                for length in self._history_lengths]
+        #: ``(pc, history) -> (taken?, provider table or None, index)``.
+        self._predict_direction = _direction_maker(
+            table_bits, self._history_lengths)(
+                self._tables, self._base, self._base_mask)
         self._history = 0
         self._btb = {}
         self._btb_order = []
@@ -61,6 +127,8 @@ class BranchPredictor:
 
     @staticmethod
     def _fold(value, bits):
+        """XOR of ``value``'s ``bits``-bit words (the reference for
+        :func:`xor_fold_expr`)."""
         folded = 0
         chunk = (1 << bits) - 1
         while value:
@@ -80,29 +148,7 @@ class BranchPredictor:
                 ^ (table << 1)) & 0xFF
 
     def _base_index(self, pc):
-        return (pc >> 2) & mask(self.BASE_BITS)
-
-    def _predict_direction(self, pc):
-        """Return (taken?, provider_table or None, provider index)."""
-        # The PC folds are table-independent; hoist them out of the
-        # longest-match scan (they used to be recomputed per table).
-        fold = self._fold
-        pc_idx_fold = fold(pc >> 2, self._table_bits)
-        pc_tag_fold = fold(pc >> 2, 8)
-        history = self._history
-        hist_masks = self._history_masks
-        index_mask = self._index_mask
-        table_bits = self._table_bits
-        for table in range(len(self._tables) - 1, -1, -1):
-            hist = history & hist_masks[table]
-            index = (pc_idx_fold ^ fold(hist, table_bits)
-                     ^ table) & index_mask
-            entry = self._tables[table].get(index)
-            if entry is not None and entry.tag == (
-                    pc_tag_fold ^ fold(hist, 8) ^ (table << 1)) & 0xFF:
-                return entry.counter >= 4, table, index
-        counter = self._base.get(self._base_index(pc), 2)
-        return counter >= 2, None, None
+        return (pc >> 2) & self._base_mask
 
     # -- public API ----------------------------------------------------
 
@@ -119,7 +165,8 @@ class BranchPredictor:
           branch resolution.
         """
         self.branches += 1
-        predicted_taken, provider, index = self._predict_direction(pc)
+        predicted_taken, provider, index = self._predict_direction(
+            pc, self._history)
         correct = predicted_taken == taken
 
         outcome = "correct" if correct else "mispredict"
@@ -186,7 +233,7 @@ class BranchPredictor:
     # -- training ------------------------------------------------------
 
     def _push_history(self, taken):
-        self._history = ((self._history << 1) | int(taken)) & mask(64)
+        self._history = ((self._history << 1) | int(taken)) & _HISTORY_MASK
 
     def _btb_insert(self, pc, target):
         if pc not in self._btb and len(self._btb) >= self.config.btb_entries:

@@ -23,6 +23,7 @@ avoids a per-cycle loop so whole SPEC-profile workloads run in seconds.
 """
 
 from collections import deque
+from heapq import heapreplace
 
 from repro.bigcore.branch import BranchPredictor
 from repro.common.config import BigCoreConfig
@@ -91,29 +92,30 @@ class RunResult:
 
 
 class _FuPool:
-    """A pool of identical functional units with busy tracking."""
+    """A pool of identical functional units with busy tracking.
+
+    ``free_at`` is a :mod:`heapq` min-heap of ``(free_time, unit)``
+    pairs, so the unit an instruction takes is always ``free_at[0]``
+    and occupying it is one ``heapreplace``.  The pairs order by time
+    and then by unit number, which is exactly the first-lowest-index
+    choice of a linear scan over the units: the chosen free time is the
+    same object a scan would pick, so even its int/float type matches.
+    The fused steppers in :mod:`repro.perf.jit` inline the same
+    operation, with a single-unit case that skips the heap call.
+    """
 
     __slots__ = ("free_at",)
 
     def __init__(self, count):
-        self.free_at = [0] * max(1, count)
+        self.free_at = [(0, unit) for unit in range(max(1, count))]
 
     def acquire(self, ready, occupancy):
         """Earliest issue >= ready on any unit; occupy it."""
         free_at = self.free_at
-        if len(free_at) == 1:
-            best_time = free_at[0]
-            issue = ready if best_time <= ready else best_time
-            free_at[0] = issue + occupancy
-            return issue
-        best = 0
-        best_time = free_at[0]
-        for i in range(1, len(free_at)):
-            if free_at[i] < best_time:
-                best = i
-                best_time = free_at[i]
+        best_time, unit = free_at[0]
+        # On a tie ``ready`` wins, keeping the issue time's type.
         issue = ready if best_time <= ready else best_time
-        free_at[best] = issue + occupancy
+        heapreplace(free_at, (issue + occupancy, unit))
         return issue
 
 

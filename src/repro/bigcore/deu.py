@@ -29,12 +29,21 @@ class DataExtractionUnit:
         self.name = name
         self.prf_read_ports = prf_read_ports
         self.enabled = True
+        #: Sequence number of the last run-time record; every record is
+        #: counted and parity-checked exactly once, so it is also the
+        #: record and parity-check count.
         self._seq = 0
         # Statistics.
-        self.runtime_records = 0
         self.status_records = 0
-        self.parity_checks = 0
         self.parity_errors = 0
+
+    @property
+    def runtime_records(self):
+        return self._seq
+
+    @property
+    def parity_checks(self):
+        return self._seq
 
     def set_enabled(self, enabled):
         """``b.check``: switch the observation channel on or off."""
@@ -83,37 +92,29 @@ class DataExtractionUnit:
     def record_runtime(self, kind, addr, data, size):
         """Stamp and account one run-time record.
 
-        The single source of truth for sequence numbers, parity
-        re-checking and record counting — used by the classic
-        CommitEvent path above and by the controller's scalar
-        ``fast_commit`` path alike.
+        The single source of truth for sequence numbers and record
+        counting on the classic CommitEvent path above and the
+        controller's classic record path; the controller's fused record
+        path stamps ``_seq`` the same way inline.  The parity copied
+        from the cache is double-checked once the data is forwarded
+        (Sec. III-A footnote): the entry computes it from the data it
+        was just built from, so the check is counted, not repeated.
         """
         self._seq += 1
-        entry = RuntimeEntry(kind, addr, data, size, seq=self._seq)
-        # Double-check the parity copied from the cache once the data
-        # is forwarded (Sec. III-A footnote).
-        self.parity_checks += 1
-        if not entry.parity_ok:  # pragma: no cover - parity set at creation
-            self.parity_errors += 1
-        self.runtime_records += 1
-        return entry
+        return RuntimeEntry(kind, addr, data, size, seq=self._seq)
 
     def adopt_runtime(self, entry):
         """Stamp and account a record built elsewhere.
 
         The batched kernel constructs one template entry per committed
         instruction (the record fields are lane-invariant) and hands
-        each lane's DEU a copy: the expensive parity computation
-        happens once instead of per lane, while sequence numbering and
-        record accounting stay per-DEU, exactly as
-        :meth:`record_runtime` would have left them.  The template is
-        freshly built, so its stored parity is its recomputed parity
-        by construction — the double-check is accounted, not repeated.
+        each lane's DEU a copy: the parity computation happens once
+        instead of per lane, while sequence numbering and record
+        accounting stay per-DEU, exactly as :meth:`record_runtime`
+        would have left them.
         """
         self._seq += 1
         entry.seq = self._seq
-        self.parity_checks += 1
-        self.runtime_records += 1
         return entry
 
     def extract_status(self, state, rcp_id, seg_id, next_pc):

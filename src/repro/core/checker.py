@@ -24,6 +24,9 @@ from repro.isa.semantics import execute
 from repro.isa.state import ArchState, Memory
 from repro.perf.decode import decode_program, slow_kernel_enabled
 
+#: Below every cycle: the monotone-clamp floor of an empty LSL log.
+_NO_TIME = float("-inf")
+
 
 class SegmentVerdict:
     """Outcome of verifying one segment."""
@@ -212,29 +215,46 @@ class CheckerRun:
 
         if decoded is not None:
             # Fast kernel: fused replay+timing closures, one call per
-            # instruction, batched across the whole allowed prefix.
+            # instruction, batched across the whole allowed prefix.  The
+            # cursors live in locals and are written back on every exit;
+            # consumption times go straight onto the LSL's list with
+            # record_consumption's monotone clamp.
             replay = self._replay
             pipe = self._pipe
             dec_entries = decoded.entries
+            needs_entry = decoded.needs_entry
             base = decoded.base
             n = len(dec_entries)
             rec = self._rec
             cls_load = InstrClass.LOAD
-            while True:
-                executed = self.executed
-                if executed >= allowed:
-                    if seg.closed and executed >= seg.instr_count:
-                        return self._final_compare()
-                    return None  # wait for the main thread
-                pc = state.pc
-                offset = pc - base
-                if offset < 0 or offset & 3:
-                    return self._detect(pipeline.time, "pc-misaligned")
-                idx = offset >> 2
-                if idx >= n:
-                    return self._detect(pipeline.time, "pc-out-of-program")
-                if dec_entries[idx].needs_entry:
-                    next_entry = self.next_entry
+            consume_times = self.lsl.consume_times
+            append_consume = consume_times.append
+            last_consume = consume_times[-1] if consume_times else _NO_TIME
+            skip = self._skip_consume
+            executed = self.executed
+            next_entry = self.next_entry
+            try:
+                while True:
+                    if executed >= allowed:
+                        if seg.closed and executed >= seg.instr_count:
+                            self.executed = executed
+                            self.next_entry = next_entry
+                            return self._final_compare()
+                        return None  # wait for the main thread
+                    pc = state.pc
+                    offset = pc - base
+                    if offset < 0 or offset & 3:
+                        return self._detect(pipeline.time, "pc-misaligned")
+                    idx = offset >> 2
+                    if idx >= n:
+                        return self._detect(pipeline.time,
+                                            "pc-out-of-program")
+                    if not needs_entry[idx]:
+                        replay[idx](state, pc, None, None, pipe)
+                        executed += 1
+                        if rec is not None:
+                            rec.pcs.append(pc)
+                        continue
                     if next_entry >= num_entries:
                         if seg.closed:
                             return self._detect(pipeline.time,
@@ -242,18 +262,20 @@ class CheckerRun:
                         return None  # entry not produced yet
                     entry = entries[next_entry]
                     delivery = deliveries[next_entry]
-                    self.next_entry = next_entry + 1
+                    next_entry += 1
                     complete, mismatch = replay[idx](state, pc, entry,
                                                      delivery, pipe)
-                    self.executed = executed + 1
+                    executed += 1
                     consume = complete if complete > delivery else delivery
-                    if self._skip_consume:
+                    if skip:
                         # Re-execution after a memo fallback: this
                         # consumption was already emitted (and proven
                         # equal) by the validated memo prefix.
-                        self._skip_consume -= 1
+                        skip -= 1
                     else:
-                        record_consumption(consume)
+                        if consume >= last_consume:
+                            last_consume = consume
+                        append_consume(last_consume)
                     if mismatch is not None:
                         return self._detect(consume, mismatch)
                     if rec is not None:
@@ -267,16 +289,15 @@ class CheckerRun:
                             rec = None
                         else:
                             rec.pcs.append(pc)
-                            rec.positions.append(executed)
+                            rec.positions.append(executed - 1)
                             rec.recs.append((entry.rkind, entry.addr,
                                              entry.data, entry.size))
                             rec.complete_rel.append(complete - rec.start)
                             rec.is_load.append(is_load)
-                else:
-                    replay[idx](state, pc, None, None, pipe)
-                    self.executed = executed + 1
-                    if rec is not None:
-                        rec.pcs.append(pc)
+            finally:
+                self.executed = executed
+                self.next_entry = next_entry
+                self._skip_consume = skip
 
         cls_load = InstrClass.LOAD
         while True:

@@ -10,17 +10,45 @@ cores, and — crucially for the evaluation — converts resource
 exhaustion into commit stalls attributed to the three Fig. 9
 categories: data collecting, data forwarding, and little-core
 availability.
+
+The fused record path
+---------------------
+On the fast kernel a log-producing commit forwards its record in one
+inlined sequence in :meth:`MeekController.fast_commit`: DEU sequence
+stamp, fabric slot cursor and counters, DC-Buffer runtime-channel
+purge/extend/stall, segment entry log, LSL delivery and the LSL credit
+check.  It computes exactly what the classic calls
+(``DataExtractionUnit.record_runtime``, ``ForwardingFabric.send_runtime``,
+``DcBufferModel.push``, ``Segment.add_entry``,
+``LoadStoreLog.record_delivery``) compute, because:
+
+* the fabric's hooks are constant for a run: the flits per record and
+  the slot interval are resolved once per controller, the route latency
+  to the active segment's core once per segment.  A fabric class that
+  overrides ``send``, ``_transfers_for`` or ``send_runtime`` keeps the
+  classic calls;
+* deliveries to one core are monotone within a segment (the slot
+  cursor never moves back and the route latency is fixed), so the LSL's
+  delivery clamp cannot fire and the segment and its LSL share one
+  delivery list;
+* the DC-Buffer fault hook and the injector are called in the classic
+  order, with the same arguments.
+
+``REPRO_SLOW_KERNEL=1`` keeps the classic calls as the oracle.
 """
 
 import enum
+from bisect import bisect_right
 
 from repro.bigcore.deu import DataExtractionUnit
 from repro.common.errors import SimulationError
 from repro.core.checker import CheckerRun
 from repro.core.lsl import LoadStoreLog
 from repro.core.segments import Segment, SegmentEndReason
+from repro.fabric.base import ForwardingFabric
 from repro.fabric.dcbuffer import DcBufferModel
-from repro.fabric.packets import Packet, PacketKind
+from repro.fabric.packets import (RUNTIME_RECORD_BITS, Packet, PacketKind,
+                                  RuntimeEntry)
 from repro.perf.decode import slow_kernel_enabled
 
 #: Inline budget meaning "never consult the controller" (checking
@@ -32,6 +60,16 @@ class StallReason(enum.Enum):
     COLLECTING = "data_collecting"
     FORWARDING = "data_forwarding"
     LITTLE_CORE = "little_core"
+
+
+def _stock_runtime_path(fabric):
+    """Whether ``fabric`` forwards run-time records exactly as
+    :meth:`ForwardingFabric.send_runtime` does, so the controller may
+    inline it."""
+    cls = type(fabric)
+    return (cls.send is ForwardingFabric.send
+            and cls._transfers_for is ForwardingFabric._transfers_for
+            and cls.send_runtime is ForwardingFabric.send_runtime)
 
 
 class MeekController:
@@ -69,7 +107,11 @@ class MeekController:
         self.active = None
         self.checkers = {}          # seg_id -> CheckerRun
         self.core_free = [0] * self.num_cores
-        self.stall_cycles = {reason: 0 for reason in StallReason}
+        # Stall attribution (see :attr:`stall_cycles`), kept in plain
+        # attributes so a per-record forwarding stall hashes no Enum.
+        self._collecting_stall = 0
+        self._forwarding_stall = 0
+        self._little_core_stall = 0
         self.detections = []        # (seg_id, cycle, reason)
         self.verdicts = []
         self._rcp_counter = 0
@@ -83,10 +125,28 @@ class MeekController:
         # neither depends on *when* advance() runs — the pipeline model
         # is driven by delivery times, not wall order.  So the fast
         # kernel advances only when the credit check could fire (see
-        # _lsl_credit_full) and at segment close, replaying whole runs
-        # of work per call; the slow kernel keeps the naive
-        # advance-every-commit loop as the oracle.
+        # the LSL-full trigger in fast_commit) and at segment close,
+        # replaying whole runs of work per call; the slow kernel keeps
+        # the naive advance-every-commit loop as the oracle.
         self._eager_advance = slow_kernel_enabled()
+        #: The active segment's CheckerRun.
+        self._checker = None
+        # The fused record path (module docstring) and its per-run
+        # constants.
+        self._fused = not self._eager_advance and _stock_runtime_path(fabric)
+        if self._fused:
+            flits = -(-RUNTIME_RECORD_BITS // fabric.config.width_bits)
+            interval = fabric._slot_interval()
+            self._runtime_flits = flits
+            self._slot_interval = interval
+            self._record_busy = flits * interval
+            self._runtime_ways = [(buffer, buffer._queues["runtime"])
+                                  for buffer in self.dc_buffers]
+            self._runtime_depth = config.fabric.runtime_fifo_depth
+        #: The active segment's LSL and, on the fused path, the route
+        #: latency to its core.
+        self._active_lsl = None
+        self._active_route = None
         # Hook-path elimination (fast kernel): the fused steppers share
         # this cell — ``[instr_count, close_budget]`` — and absorb
         # *dormant* commits (nothing to log, cannot trap) by bumping
@@ -98,6 +158,13 @@ class MeekController:
         # the controller (which opens the segment — or raises if
         # initialize() was never called).
         self._hot = [0, 0]
+
+    @property
+    def stall_cycles(self):
+        """Commit-stall cycles per :class:`StallReason` (Fig. 9)."""
+        return {StallReason.COLLECTING: self._collecting_stall,
+                StallReason.FORWARDING: self._forwarding_stall,
+                StallReason.LITTLE_CORE: self._little_core_stall}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -152,21 +219,76 @@ class MeekController:
         ``rkind`` is the RuntimeKind of a load/store/CSR commit or
         ``None``.
         """
-        if not self._initialized:
-            raise SimulationError("controller used before initialize()")
-        if not self.deu.enabled:
-            return t
         hot = self._hot
-        if self.active is None:
+        seg = self.active
+        if seg is None:
+            # No segment is open before initialize() and never with
+            # checking off, so the two guards cost nothing per record.
+            if not self._initialized:
+                raise SimulationError("controller used before initialize()")
+            if not self.deu.enabled:
+                return t
             t = self._open_segment(t, pc)
             seg = self.active
-        else:
-            seg = self.active
-            if hot[0] > seg.instr_count:
-                # Commits the inline path absorbed since the last call.
-                seg.instr_count = hot[0]
+        elif hot[0] > seg.instr_count:
+            # Commits the inline path absorbed since the last call.
+            seg.instr_count = hot[0]
 
-        if rkind is not None:
+        if rkind is None:
+            lsl = None
+        elif self._fused:
+            # DEU: stamp the record (its parity is computed once, here).
+            deu = self.deu
+            seq = deu._seq + 1
+            deu._seq = seq
+            if prebuilt is None:
+                entry = RuntimeEntry(rkind, addr, data, size, seq)
+            else:
+                entry = prebuilt
+                entry.seq = seq
+            if self.injector is not None:
+                if self.injector.maybe_inject_runtime(
+                        entry, t, seg.seg_id) is not None:
+                    seg.injected = True
+            # DC-Buffer: fault hook, then the runtime channel's purge.
+            buffer, queue = self._runtime_ways[slot % self._num_buffers]
+            if buffer.fault_hook is not None:
+                buffer.fault_hook("runtime", entry, t)
+            while queue and queue[0] <= t:
+                queue.popleft()
+            # Fabric: accept the flits from the shared slot cursor
+            # straight into the buffer.
+            fabric = self.fabric
+            cursor = fabric._next_slot
+            if t > cursor:
+                cursor = float(t)
+            flits = self._runtime_flits
+            if flits == 1:
+                cursor += self._slot_interval
+                queue.append(cursor)
+            else:
+                interval = self._slot_interval
+                for _ in range(flits):
+                    cursor += interval
+                    queue.append(cursor)
+            fabric._next_slot = cursor
+            fabric.flits_carried += flits
+            fabric.packets_carried += 1
+            fabric.busy_time += self._record_busy
+            buffer.flits_pushed["runtime"] += flits
+            overflow = len(queue) - self._runtime_depth
+            if overflow > 0:
+                # The commit waits until `overflow` flits are accepted.
+                stall_until = queue[overflow - 1]
+                if stall_until > t:
+                    buffer.stall_cycles += stall_until - t
+                    self._forwarding_stall += stall_until - t
+                    t = stall_until
+            # Segment log and LSL delivery: one shared list.
+            seg.entries.append(entry)
+            lsl = self._active_lsl
+            lsl.delivery_times.append(cursor + self._active_route)
+        else:
             if prebuilt is not None:
                 entry = self.deu.adopt_runtime(prebuilt)
             else:
@@ -186,33 +308,46 @@ class MeekController:
             stall_until = buffer.push("runtime", accept_times, t,
                                       payload=entry)
             if stall_until > t:
-                self.stall_cycles[StallReason.FORWARDING] += stall_until - t
+                self._forwarding_stall += stall_until - t
                 t = stall_until
             seg.add_entry(entry, delivery)
-            self.lsls[seg.assigned_core].record_delivery(delivery)
-            logged = True
-        else:
-            logged = False
+            lsl = self._active_lsl
+            lsl.record_delivery(delivery)
 
-        seg.instr_count += 1
+        count = seg.instr_count + 1
+        seg.instr_count = count
         if self._eager_advance:
-            self.checkers[seg.seg_id].advance()
+            self._checker.advance()
 
-        reason = None
-        if logged and self._lsl_credit_full(seg, t):
-            reason = SegmentEndReason.LSL_FULL
-        elif seg.instr_count >= self._timeout:
-            reason = SegmentEndReason.TIMEOUT
+        # LSL-full RCP trigger, credit-based: entries sent minus entries
+        # the checker has consumed by ``t``.  The checker advances on
+        # demand, and its known consumption times only grow, so the
+        # count against them bounds the count after an advance.  While
+        # the bound is below capacity and at most the peak already seen,
+        # neither the trigger nor ``peak_occupancy`` can change, and the
+        # advance waits for a later record or the segment close.
+        if lsl is not None:
+            bound = len(lsl.delivery_times) - bisect_right(lsl.consume_times,
+                                                           t)
+            if bound >= lsl.capacity or bound > lsl.peak_occupancy:
+                if not self._eager_advance:
+                    self._checker.advance()
+                if lsl.outstanding(t) >= lsl.capacity:
+                    t = self._close_segment(t, SegmentEndReason.LSL_FULL,
+                                            slot)
+                    hot[0] = 0
+                    hot[1] = 0
+                    return t
+        if count >= self._timeout:
+            t = self._close_segment(t, SegmentEndReason.TIMEOUT, slot)
         elif trap is not None:
-            reason = SegmentEndReason.KERNEL_TRAP
-        if reason is not None:
-            t = self._close_segment(t, reason, slot)
-        if self.active is None:
-            hot[0] = 0
-            hot[1] = 0
+            t = self._close_segment(t, SegmentEndReason.KERNEL_TRAP, slot)
         else:
-            hot[0] = seg.instr_count
+            hot[0] = count
             hot[1] = self._timeout
+            return t
+        hot[0] = 0
+        hot[1] = 0
         return t
 
     def finalize(self, end_cycle):
@@ -261,30 +396,11 @@ class MeekController:
         if record is not None and self.active is not None:
             self.active.injected = True
 
-    def _lsl_credit_full(self, seg, now):
-        """LSL-full RCP trigger, credit-based: entries sent minus
-        entries the checker has consumed by ``now``.
-
-        Fast kernel: the checker advances on demand.  Its known
-        consumption times only grow, so the outstanding count against
-        them is an upper bound on the count after an advance.  While
-        that bound is below capacity and at most the peak already
-        seen, neither the trigger nor ``peak_occupancy`` can change,
-        and the advance waits for a later record or the segment close.
-        """
-        lsl = self.lsls[seg.assigned_core]
-        if not self._eager_advance:
-            bound = lsl.outstanding_bound(now)
-            if bound < lsl.capacity and bound <= lsl.peak_occupancy:
-                return False
-            self.checkers[seg.seg_id].advance()
-        return lsl.outstanding(now) >= lsl.capacity
-
     def _open_segment(self, t, start_pc):
         core = self._next_core
         free = self.core_free[core]
         if free > t:
-            self.stall_cycles[StallReason.LITTLE_CORE] += free - t
+            self._little_core_stall += free - t
             t = free
         snapshot, delivery = self._pending_srcp
         seg = Segment(seg_id=len(self.segments), start_pc=start_pc,
@@ -293,7 +409,12 @@ class MeekController:
         self.segments.append(seg)
         self.active = seg
         lsl = self.lsls[core]
-        lsl.bind_segment()
+        self._active_lsl = lsl
+        if self._fused:
+            lsl.bind_segment(seg.entry_deliveries)
+            self._active_route = self.fabric._route_latency(core)
+        else:
+            lsl.bind_segment()
         checker = CheckerRun(
             seg, self.program, self.pipelines[core], lsl,
             clock_ratio=2,
@@ -304,6 +425,7 @@ class MeekController:
             # store.  (Replaying *from* the store stays allowed.)
             memo_record=not self.detections)
         self.checkers[seg.seg_id] = checker
+        self._checker = checker
         return t
 
     def _choose_next_core(self, closing_core):
@@ -317,7 +439,7 @@ class MeekController:
         # Data collecting: the DEU preempts the PRF read ports for a
         # few cycles to capture the register files (Fig. 3c).
         extraction = self.deu.status_extraction_cycles
-        self.stall_cycles[StallReason.COLLECTING] += extraction
+        self._collecting_stall += extraction
         t += extraction
 
         snapshot = self.deu.extract_status(self.state, self._rcp_counter,
@@ -340,7 +462,7 @@ class MeekController:
         buffer = self.dc_buffers[commit_slot % self._num_buffers]
         stall_until = buffer.push("status", report.accept_times, t)
         if stall_until > t:
-            self.stall_cycles[StallReason.FORWARDING] += stall_until - t
+            self._forwarding_stall += stall_until - t
             t = stall_until
 
         seg.close(t, reason, ercp=snapshot,

@@ -413,6 +413,13 @@ class FaultInjector:
         self._last_injected_seg = None
         #: Armed permanent lines: target -> (detail-kind, bits, level).
         self._stuck_lines = {}
+        # The armed lines of each forwarding path, in target order,
+        # rebuilt by _arm_stuck: the per-packet paths read these and
+        # hash no FaultTarget (Enum hashing runs in Python).
+        self._stuck_runtime = ()
+        self._stuck_status = ()
+        self._stuck_dcbuf = ()
+        self._stuck_fabric = ()
 
     # -- target topology --------------------------------------------------
 
@@ -466,30 +473,30 @@ class FaultInjector:
 
     def _arm_stuck(self, target, kind, bits):
         """Register a permanent line so later packets keep the fault."""
-        self._stuck_lines[target] = (kind, bits, self.model.value)
+        lines = self._stuck_lines
+        lines[target] = (kind, bits, self.model.value)
 
-    def _stuck_for(self, target):
-        return self._stuck_lines.get(target)
+        def armed(targets):
+            return tuple(lines[t] for t in targets if t in lines)
 
-    def _force_runtime(self, entry, target_pool):
-        """Apply armed runtime-path stuck lines to ``entry``."""
-        for target in target_pool:
-            line = self._stuck_lines.get(target)
-            if line is None:
-                continue
-            kind, bits, level = line
+        self._stuck_runtime = armed(_RUNTIME_TARGETS)
+        self._stuck_status = armed(_STATUS_TARGETS)
+        self._stuck_dcbuf = armed((FaultTarget.DCBUF_RUNTIME,))
+        self._stuck_fabric = armed((FaultTarget.FABRIC_STATUS,))
+
+    @staticmethod
+    def _force_runtime(entry, lines):
+        """Apply armed run-time stuck ``lines`` to ``entry``."""
+        for kind, bits, level in lines:
             if kind == "addr":
                 entry.addr = force_bits(entry.addr, bits, level)
             else:
                 entry.data = force_bits(entry.data, bits, level)
 
-    def _force_status(self, snapshot, target_pool):
-        """Apply armed status-path stuck lines to ``snapshot``."""
-        for target in target_pool:
-            line = self._stuck_lines.get(target)
-            if line is None:
-                continue
-            kind, bits, level = line
+    @staticmethod
+    def _force_status(snapshot, lines):
+        """Apply armed status stuck ``lines`` to ``snapshot``."""
+        for kind, bits, level in lines:
             if kind == "pc":
                 snapshot.pc = force_bits(snapshot.pc, bits, level)
             else:
@@ -506,8 +513,8 @@ class FaultInjector:
 
     def maybe_inject_runtime(self, entry, cycle, seg_id):
         """Possibly corrupt a run-time record at forward time."""
-        if self._stuck_lines:
-            self._force_runtime(entry, _RUNTIME_TARGETS)
+        if self._stuck_runtime:
+            self._force_runtime(entry, self._stuck_runtime)
         if not self._eligible(seg_id):
             return None
         target = self._choose([t for t in self._targets
@@ -538,8 +545,8 @@ class FaultInjector:
         The same wire feeds the ERCP consumer and the next segment's
         SRCP consumer, so one flip corrupts both views.
         """
-        if self._stuck_lines:
-            self._force_status(snapshot, _STATUS_TARGETS)
+        if self._stuck_status:
+            self._force_status(snapshot, self._stuck_status)
         if not self._eligible(seg_id):
             return None
         target = self._choose([t for t in self._targets
@@ -591,8 +598,8 @@ class FaultInjector:
         fault hook — the record was already captured correctly by the
         DEU; the upset happens while it sits buffered for the fabric.
         """
-        if self._stuck_lines:
-            self._force_runtime(entry, (FaultTarget.DCBUF_RUNTIME,))
+        if self._stuck_dcbuf:
+            self._force_runtime(entry, self._stuck_dcbuf)
         if not self._eligible(seg_id):
             return None
         target = self._choose([t for t in self._targets
@@ -625,14 +632,8 @@ class FaultInjector:
         snapshot = packet.payload
         if snapshot is None or not hasattr(snapshot, "int_regs"):
             return None
-        if self._stuck_lines:
-            line = self._stuck_lines.get(FaultTarget.FABRIC_STATUS)
-            if line is not None:
-                kind, bits, level = line
-                _, reg = kind
-                regs = list(snapshot.int_regs)
-                regs[reg] = force_bits(regs[reg], bits, level)
-                snapshot.int_regs = tuple(regs)
+        if self._stuck_fabric:
+            self._force_status(snapshot, self._stuck_fabric)
         seg_id = packet.seg_id
         if not self._eligible(seg_id):
             return None

@@ -24,38 +24,52 @@ class LoadStoreLog:
         self.config = config
         self.core_id = core_id
         self.capacity = config.entries
-        self._delivery_times = []
-        self._consume_times = []
-        self.total_entries = 0
+        #: Arrival and consumption times of the bound segment's entries,
+        #: both non-decreasing.  The controller's fused record path and
+        #: the checker's replay loop append to them directly.
+        self.delivery_times = []
+        self.consume_times = []
+        self._earlier_entries = 0   # entries of earlier segments
         self.peak_occupancy = 0
 
-    def bind_segment(self):
+    @property
+    def total_entries(self):
+        """Entries delivered over the log's lifetime."""
+        return self._earlier_entries + len(self.delivery_times)
+
+    def bind_segment(self, deliveries=None):
         """Reset per-segment bookkeeping (the log is reserved for a
-        single checker thread at a time, Sec. IV-B)."""
-        self._delivery_times = []
-        self._consume_times = []
+        single checker thread at a time, Sec. IV-B).
+
+        ``deliveries`` adopts the segment's own delivery-time list as
+        the log's, for a caller that appends each delivery there once
+        instead of calling :meth:`record_delivery` (the controller's
+        fused record path: deliveries to one core are monotone within a
+        segment, so the clamp below could never fire)."""
+        self._earlier_entries += len(self.delivery_times)
+        self.delivery_times = [] if deliveries is None else deliveries
+        self.consume_times = []
 
     def record_delivery(self, cycle):
         """A forwarded entry arrives at ``cycle``."""
-        if self._delivery_times and cycle < self._delivery_times[-1]:
+        if self.delivery_times and cycle < self.delivery_times[-1]:
             # Fabric preserves ordering; deliveries are monotonic.
-            cycle = self._delivery_times[-1]
-        self._delivery_times.append(cycle)
-        self.total_entries += 1
+            cycle = self.delivery_times[-1]
+        self.delivery_times.append(cycle)
 
     def record_consumption(self, cycle):
         """The checker consumed the next entry at ``cycle``."""
-        if len(self._consume_times) >= len(self._delivery_times):
+        if len(self.consume_times) >= len(self.delivery_times):
             raise SimulationError(
                 f"LSL {self.core_id}: consumed more entries than delivered")
-        if self._consume_times and cycle < self._consume_times[-1]:
-            cycle = self._consume_times[-1]
-        self._consume_times.append(cycle)
+        if self.consume_times and cycle < self.consume_times[-1]:
+            cycle = self.consume_times[-1]
+        self.consume_times.append(cycle)
 
     def occupancy(self, now):
         """Unconsumed entries resident in the log at cycle ``now``."""
-        delivered = bisect.bisect_right(self._delivery_times, now)
-        consumed = bisect.bisect_right(self._consume_times, now)
+        delivered = bisect.bisect_right(self.delivery_times, now)
+        consumed = bisect.bisect_right(self.consume_times, now)
         occupancy = delivered - consumed
         if occupancy > self.peak_occupancy:
             self.peak_occupancy = occupancy
@@ -70,16 +84,11 @@ class LoadStoreLog:
         flight) counts against capacity until the checker has consumed
         it by cycle ``now``.  This is the big core's flow-control view,
         used for the LSL-full RCP trigger."""
-        outstanding = self.outstanding_bound(now)
+        outstanding = (len(self.delivery_times)
+                       - bisect.bisect_right(self.consume_times, now))
         if outstanding > self.peak_occupancy:
             self.peak_occupancy = outstanding
         return outstanding
-
-    def outstanding_bound(self, now):
-        """:meth:`outstanding` without the peak update: an upper bound
-        on it for as long as consumptions are still to be recorded."""
-        return (len(self._delivery_times)
-                - bisect.bisect_right(self._consume_times, now))
 
     def stats(self):
         return {

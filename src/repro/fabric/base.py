@@ -107,7 +107,10 @@ class ForwardingFabric:
         subclass that overrides :meth:`send` or ``_transfers_for``
         keeps its behavior, because this path falls back to the real
         ``send`` for it.  The ``_slot_interval``/``_route_latency``
-        hooks are still consulted per call.
+        hooks are still consulted per call.  On the fast kernel the
+        MEEK controller inlines this method for a fabric class that
+        overrides none of ``send``, ``_transfers_for`` and
+        ``send_runtime`` (see :mod:`repro.core.controller`).
         """
         flits = getattr(self, "_runtime_flits", None)
         if flits is None:

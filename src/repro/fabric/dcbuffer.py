@@ -12,7 +12,12 @@ from collections import deque
 
 
 class DcBufferModel:
-    """Flit-level occupancy tracking for one commit path."""
+    """Flit-level occupancy tracking for one commit path.
+
+    On the fast kernel the MEEK controller's fused record path performs
+    :meth:`push` on the runtime channel inline, on the same deque and
+    counters (see :mod:`repro.core.controller`).
+    """
 
     def __init__(self, status_depth, runtime_depth, name="dcbuf"):
         self.name = name

@@ -35,6 +35,9 @@ class RuntimeKind(enum.Enum):
 #: 64-bit address, 64-bit data, parity.
 RUNTIME_RECORD_BITS = 8 + 64 + 64 + 1
 
+#: The 64-bit data field of a run-time record.
+_DATA_MASK = (1 << 64) - 1
+
 #: Metadata bits on a status packet (RCP id, segment id, PC).
 STATUS_HEADER_BITS = 32 + 32 + 64
 
@@ -58,7 +61,9 @@ class RuntimeEntry:
         self.data = data
         self.size = size
         self.seq = seq
-        self.parity = parity_of(data)
+        # parity_of(data), inlined: one entry is built per forwarded
+        # record.
+        self.parity = (data & _DATA_MASK).bit_count() & 1
 
     def recompute_parity(self):
         """Parity over the (possibly corrupted) data field."""

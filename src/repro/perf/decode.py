@@ -229,12 +229,16 @@ class DecodedProgram:
     kernels.
     """
 
-    __slots__ = ("base", "entries", "replay_tables", "_n", "_source")
+    __slots__ = ("base", "entries", "needs_entry", "replay_tables", "_n",
+                 "_source")
 
     def __init__(self, program):
         self.base = program.base
         self._source = program.instructions
         self.entries = [DecodedInstr(instr) for instr in program.instructions]
+        #: ``entries[i].needs_entry`` as a flat list, for the checker's
+        #: replay loop.
+        self.needs_entry = [entry.needs_entry for entry in self.entries]
         self._n = len(self.entries)
         #: Checker replay closure tables, one per little-core timing
         #: configuration (:func:`repro.perf.jit.replay_table`).

@@ -25,6 +25,7 @@ bit-identical.
 """
 
 from collections import deque
+from heapq import heapreplace
 
 from repro.common.errors import PrivilegeError, SimulationError
 from repro.fabric.packets import RuntimeKind
@@ -53,6 +54,7 @@ _GLOBALS = {
     "RK_LOAD": RuntimeKind.LOAD,
     "RK_STORE": RuntimeKind.STORE,
     "RK_CSR": RuntimeKind.CSR,
+    "HEAPREPLACE": heapreplace,
 }
 
 def _compile_maker(build_source, name):
@@ -206,14 +208,26 @@ def _rename_src(spec, iclass):
     return "\n".join(parts)
 
 
+#: Inline ``_FuPool.acquire``: the unit is the heap top (see
+#: :class:`repro.bigcore.core._FuPool`); a one-unit pool is rewritten in
+#: place instead of going through ``heapreplace``.
+_ACQUIRE_SRC = """\
+        free, unit = FREE[0]
+        issue = ready if free <= ready else free
+        if MULTI:
+            HEAPREPLACE(FREE, (issue + {occ}, unit))
+        else:
+            FREE[0] = (issue + {occ}, unit)"""
+
+
 def _issue_src(iclass):
     if iclass is InstrClass.LOAD:
-        return ("        issue = acquire(ready, 1)\n"
+        return (_ACQUIRE_SRC.format(occ="1") + "\n"
                 "        complete = issue + access(addr, issue, LOADK)")
     if iclass is InstrClass.STORE:
-        return ("        issue = acquire(ready, 1)\n"
+        return (_ACQUIRE_SRC.format(occ="1") + "\n"
                 "        complete = issue + 1")
-    return ("        issue = acquire(ready, OCC)\n"
+    return (_ACQUIRE_SRC.format(occ="OCC") + "\n"
             "        complete = issue + LAT")
 
 
@@ -334,7 +348,8 @@ def _build_big_source(op, mode):
     source = f"""\
 def maker(RD, RS1, RS2, IMM, OP_INSTR, MH, FN, POOL, LAT, OCC, SHARED):
     ({_BIG_SHARED_FIELDS}) = SHARED
-    acquire = POOL.acquire
+    FREE = POOL.free_at
+    MULTI = len(FREE) > 1
     UIMM = IMM & WORD
     IMM12 = IMM << 12
     LUI_VALUE = (IMM << 12) & WORD

@@ -1,7 +1,14 @@
 """Unit tests for the TAGE-style branch predictor."""
 
-from repro.bigcore.branch import BranchPredictor
+from dataclasses import replace
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.bigcore.branch import BranchPredictor, xor_fold_expr
+from repro.common.bitops import mask
 from repro.common.config import BigCoreConfig
+from repro.common.prng import DeterministicRng
 
 
 def make_predictor():
@@ -130,3 +137,55 @@ class TestStats:
         stats = p.stats()
         assert stats["branches"] == 10
         assert 0.0 <= stats["mispredict_rate"] <= 1.0
+
+
+class TestFolds:
+    """The XOR-of-shifts folds against the reference ``_fold`` loop."""
+
+    FOLDS = {(width, length): eval(
+                 f"lambda v: {xor_fold_expr('v', width, length)}")
+             for width in (8, 9, 10, 12) for length in (2, 4, 8, 16, 32, 64)}
+
+    @given(st.integers(min_value=0, max_value=(1 << 64) - 1))
+    def test_xor_fold_expr_matches_reference_fold(self, value):
+        # Index widths (the default 10 and others) and the 8-bit tag, at
+        # every history length the tables use and for 64-bit words.
+        for (width, length), fold in self.FOLDS.items():
+            masked = value & mask(length)
+            assert fold(masked) == BranchPredictor._fold(masked, width), \
+                (width, length)
+
+    @staticmethod
+    def reference_direction(p, pc):
+        """The longest-match scan written with ``_fold`` loops."""
+        fold = BranchPredictor._fold
+        for table in range(len(p._tables) - 1, -1, -1):
+            hist = p._history & mask(p._history_lengths[table])
+            index = (fold(pc >> 2, p._table_bits) ^ fold(hist, p._table_bits)
+                     ^ table) & mask(p._table_bits)
+            entry = p._tables[table].get(index)
+            if entry is not None and entry.tag == (
+                    fold(pc >> 2, 8) ^ fold(hist, 8) ^ (table << 1)) & 0xFF:
+                return entry.counter >= 4, table, index
+        return p._base.get((pc >> 2) & mask(p.BASE_BITS), 2) >= 2, None, None
+
+    def test_unrolled_scan_matches_reference(self):
+        """On trained predictors of several shapes (8 tables cap the
+        history at 64 bits), every prediction equals the reference
+        scan's, tagged-table hits included."""
+        rng = DeterministicRng("tage-scan")
+        for tables, table_bits in ((6, 10), (4, 9), (8, 12)):
+            config = replace(BigCoreConfig(), tage_tables=tables)
+            p = BranchPredictor(config, table_bits=table_bits)
+            providers = set()
+            pcs = [0x1000 + 4 * rng.randint(0, 1 << 20) for _ in range(16)]
+            pcs.append((1 << 64) - 4)
+            for step in range(3_000):
+                pc = pcs[rng.randint(0, len(pcs) - 1)]
+                expected = self.reference_direction(p, pc)
+                assert p._predict_direction(pc, p._history) == expected
+                providers.add(expected[1])
+                taken = rng.bernoulli(0.3 if pc & 8 else 0.8)
+                p.predict_and_update(pc, taken,
+                                     target=pc + 64 if taken else None)
+            assert len(providers) > 2, "no tagged table ever provided"

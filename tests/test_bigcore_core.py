@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bigcore.core import BigCore, run_program
+from repro.bigcore.core import BigCore, _FuPool, run_program
 from repro.common.config import BigCoreConfig
 from repro.common.errors import SimulationError
 from repro.isa import assemble
@@ -185,3 +185,24 @@ class TestDeterminism:
         b = run_program(program)
         assert a.cycles == b.cycles
         assert a.predictor_stats == b.predictor_stats
+
+
+class TestFuPool:
+    def test_heap_picks_the_unit_a_linear_scan_would(self):
+        """Equal free times tie-break by unit number, so the chosen
+        time keeps the type a first-lowest-index scan would return."""
+        pool = _FuPool(2)
+        assert pool.acquire(4, 1) == 4      # unit 0 free at 5
+        assert pool.acquire(4.0, 1) == 4.0  # unit 1 free at 5.0
+        issue = pool.acquire(3, 2)          # both free at 5: unit 0
+        assert issue == 5 and type(issue) is int
+        issue = pool.acquire(3, 2)          # unit 1, free at 5.0
+        assert issue == 5.0 and type(issue) is float
+        assert sorted(pool.free_at) == [(7, 0), (7.0, 1)]
+
+    def test_ready_wins_a_tie_with_the_free_time(self):
+        pool = _FuPool(1)
+        issue = pool.acquire(0.0, 3)
+        assert issue == 0.0 and type(issue) is float
+        issue = pool.acquire(3, 1)
+        assert issue == 3 and type(issue) is int

@@ -288,6 +288,51 @@ def test_stuckat_pc_forces_every_later_snapshot():
 
 
 @pytest.mark.quick
+def test_stuckat_dcbuf_line_forces_only_buffered_records():
+    injector = FaultInjector(DeterministicRng(10), rate=1.0,
+                             targets={FaultTarget.DCBUF_RUNTIME: 1},
+                             model="stuckat:bit=3,value=1")
+    record = injector.maybe_inject_dcbuf(make_entry(addr=0, data=0), 0, 0)
+    assert record is not None and record.permanent
+    field = "addr" if record.detail.endswith(".addr") else "data"
+    for seg_id in range(1, 6):
+        buffered = make_entry(addr=0, data=0)
+        assert injector.maybe_inject_dcbuf(buffered, seg_id, seg_id) is None
+        assert getattr(buffered, field) == 1 << 3, "the stuck line persists"
+        forwarded = make_entry(addr=0, data=0)
+        injector.maybe_inject_runtime(forwarded, seg_id, seg_id)
+        assert (forwarded.addr, forwarded.data) == (0, 0), \
+            "a DC-Buffer line leaves the forward-time copy alone"
+
+
+@pytest.mark.quick
+def test_stuckat_fabric_line_forces_only_fabric_snapshots():
+    injector = FaultInjector(DeterministicRng(11), rate=1.0,
+                             targets={FaultTarget.FABRIC_STATUS: 1},
+                             model="stuckat:bit=2,value=1")
+
+    def zeroed(seg_id):
+        return StatusSnapshot(seg_id, seg_id, 0x2000, [0] * 32, [0] * 32, {})
+
+    def packet(seg_id):
+        return Packet(PacketKind.STATUS, zeroed(seg_id), seg_id,
+                      created_cycle=0, dests=(1,))
+
+    record = injector.maybe_inject_fabric(packet(0), 0)
+    assert record is not None and record.permanent
+    reg = int(record.detail.split(":x")[1])
+    for seg_id in range(1, 6):
+        later = packet(seg_id)
+        assert injector.maybe_inject_fabric(later, seg_id) is None
+        assert later.payload.int_regs[reg] == 1 << 2, \
+            "the stuck line persists"
+        snapshot = zeroed(seg_id)
+        injector.maybe_inject_status(snapshot, seg_id, seg_id)
+        assert snapshot.int_regs == (0,) * 32, \
+            "a fabric line leaves the forward-time snapshot alone"
+
+
+@pytest.mark.quick
 def test_permanent_resolution_matches_any_later_segment():
     injector = FaultInjector(DeterministicRng(9), rate=1.0,
                              targets={FaultTarget.RUNTIME_DATA: 1},

@@ -27,12 +27,17 @@ def _set_kernel(monkeypatch, slow):
     monkeypatch.setenv("REPRO_SLOW_KERNEL", "1" if slow else "0")
 
 
-def _meek_fingerprint(program, cores=2, injector=None):
+def _meek_fingerprint(program, cores=2, injector=None, config=None,
+                      system=None):
     """Everything observable from one MEEK + vanilla execution."""
-    vanilla = run_vanilla(program)
-    config = default_meek_config(num_little_cores=cores)
-    result = MeekSystem(config, injector=injector).run(program)
+    if system is None:
+        if config is None:
+            config = default_meek_config(num_little_cores=cores)
+        system = MeekSystem(config, injector=injector)
+    vanilla = run_vanilla(program, system.config.big_core)
+    result = system.run(program)
     state = result.big.state
+    controller = result.controller
     return {
         "vanilla": (vanilla.cycles, vanilla.instructions,
                     vanilla.predictor_stats, str(vanilla.memory_stats)),
@@ -43,7 +48,9 @@ def _meek_fingerprint(program, cores=2, injector=None):
                      for v in result.verdicts],
         "stalls": {r.value: c
                    for r, c in result.controller.stall_cycles.items()},
-        "controller": str(result.controller.stats()),
+        "controller": str(controller.stats()),
+        "dc_buffers": [buffer.stats() for buffer in controller.dc_buffers],
+        "lsls": [lsl.stats() for lsl in controller.lsls],
         "int_regs": tuple(state.int_regs),
         "fp_regs": tuple(state.fp_regs),
         "pc": state.pc,
@@ -251,6 +258,145 @@ def test_controller_subclass_hook_not_bypassed(monkeypatch):
     assert len(calls) == result.instructions, \
         "the subclass override was bypassed by the JIT fast path"
     assert result.cycles == baseline.cycles
+
+
+#: Record-path shapes: every fabric kind (1 flit per record on f2 and
+#: ideal, 2 on axi), one- and two-flit DC-Buffers so forwarding stalls
+#: fire, 1 KB LSLs so segments close on LSL-full, and 1, 2 and 8 cores.
+RECORD_PATH_CASES = {
+    "f2 cores=1 dc=1": {"fabric": "f2", "cores": 1, "dc_depth": 1},
+    "f2 cores=8 lsl=1kb": {"fabric": "f2", "cores": 8, "lsl_kb": 1},
+    "axi cores=2 dc=2": {"fabric": "axi", "cores": 2, "dc_depth": 2},
+    "axi cores=8 dc=1 lsl=1kb": {"fabric": "axi", "cores": 8,
+                                 "dc_depth": 1, "lsl_kb": 1},
+    "ideal cores=2 dc=1 lsl=1kb": {"fabric": "ideal", "cores": 2,
+                                   "dc_depth": 1, "lsl_kb": 1},
+    "ideal cores=1 dc=2": {"fabric": "ideal", "cores": 1, "dc_depth": 2},
+}
+
+
+@pytest.mark.parametrize("case", list(RECORD_PATH_CASES))
+def test_fused_record_path_matches_classic_calls(case, monkeypatch):
+    """The fast kernel's fused record path and the slow kernel's
+    classic per-record calls leave identical runs and statistics:
+    fabric packets, flits and busy time, DEU counters, DC-Buffer and
+    LSL counters, and stall attribution."""
+    from repro.campaign.tasks import build_config
+
+    params = RECORD_PATH_CASES[case]
+    config = build_config(params)
+    program = generate_program(get_profile("streamcluster"),
+                               dynamic_instructions=3_000, seed=4)
+
+    def fingerprint(slow):
+        _set_kernel(monkeypatch, slow)
+        system = MeekSystem(config)
+        fp = _meek_fingerprint(program, system=system)
+        assert system.controller._fused is not slow
+        return fp
+
+    slow = fingerprint(slow=True)
+    if "dc_depth" in params:
+        assert slow["stalls"]["data_forwarding"] > 0
+    if "lsl_kb" in params:
+        assert "'lsl_full': 0" not in slow["controller"]
+    # repr: int and float cycle counts must not trade places either.
+    assert repr(fingerprint(slow=False)) == repr(slow)
+
+
+def test_fabric_overriding_send_keeps_classic_record_path(monkeypatch):
+    """A fabric class that overrides ``send`` sees every run-time record
+    through it on the fast kernel too, and the run matches the stock
+    fabric's."""
+    from repro.fabric.hmnoc import HmNocFabric
+    from repro.fabric.packets import PacketKind
+
+    kinds = []
+
+    class CountingFabric(HmNocFabric):
+        def send(self, packet, now):
+            kinds.append(packet.kind)
+            return super().send(packet, now)
+
+    _set_kernel(monkeypatch, slow=False)
+    program = generate_program(get_profile("mcf"),
+                               dynamic_instructions=1_500, seed=5)
+    config = default_meek_config(num_little_cores=2)
+    reference = _meek_fingerprint(program, config=config)
+
+    system = MeekSystem(config)
+    system.fabric = CountingFabric(config.fabric, config.num_little_cores)
+    assert repr(_meek_fingerprint(program, system=system)) == repr(reference)
+    assert not system.controller._fused
+    runtime = kinds.count(PacketKind.RUNTIME)
+    assert runtime == system.controller.deu.runtime_records > 0
+    assert kinds.count(PacketKind.STATUS) == len(reference["segments"]) + 1
+
+
+#: Functional-unit pool widths against the fast kernel's inline heap
+#: acquire, including multi-unit pools whose units stay busy for more
+#: than a cycle (the dividers).
+FU_POOL_CASES = {
+    "int_alus=1": {"int_alus": 1},
+    "int_alus=3": {"int_alus": 3},
+    "int_alus=4": {"int_alus": 4},
+    "mem_units=1": {"mem_units": 1},
+    "mem_units=3": {"mem_units": 3},
+    "fp_units=2": {"fp_units": 2},
+}
+
+_DIVIDER_LOOP = """
+    li t0, 0
+    li t1, 48
+    li t2, 0x2000
+    li t3, 7
+    fcvt.d.l f1, t3
+    fcvt.d.l f2, t1
+loop:
+    div t4, t1, t3
+    rem t5, t2, t3
+    divu t6, t2, t1
+    fdiv.d f3, f2, f1
+    fsqrt.d f4, f2
+    fdiv.d f5, f4, f1
+    add a0, t4, t5
+    xor a1, a0, t6
+    sd a0, 0(t2)
+    ld a2, 0(t2)
+    fsd f3, 8(t2)
+    fld f6, 8(t2)
+    mul a3, a2, t3
+    addi t0, t0, 1
+    bne t0, t1, loop
+    ecall
+"""
+
+
+@pytest.mark.parametrize("case", list(FU_POOL_CASES))
+def test_fu_pool_shapes_bit_identical(case, monkeypatch):
+    """The inline heap acquire equals the slow kernel's pool for every
+    pool width, on a divider-heavy loop and on a workload profile."""
+    from dataclasses import replace
+
+    from repro.isa.assembler import assemble
+
+    default = default_meek_config(num_little_cores=2)
+    config = replace(default, big_core=replace(default.big_core,
+                                               **FU_POOL_CASES[case]))
+    programs = [assemble(_DIVIDER_LOOP, name="dividers"),
+                generate_program(get_profile("bodytrack"),
+                                 dynamic_instructions=1_500, seed=2)]
+    changed = []
+    for program in programs:
+        _set_kernel(monkeypatch, slow=True)
+        slow = _meek_fingerprint(program, config=config)
+        baseline = _meek_fingerprint(program, config=default)
+        changed.append(slow["vanilla"] != baseline["vanilla"])
+        _set_kernel(monkeypatch, slow=False)
+        assert (repr(_meek_fingerprint(program, config=config))
+                == repr(slow))
+    assert any(changed), \
+        f"{case} does not change the timing: the comparison is vacuous"
 
 
 def test_compiled_closures_match_interpreter_per_op(monkeypatch):
