@@ -15,6 +15,7 @@ a point's metrics row is the same bytes no matter which transport
 carried it.
 """
 
+import contextlib
 import signal
 import threading
 import time
@@ -61,19 +62,35 @@ def _can_alarm():
             and threading.current_thread() is threading.main_thread())
 
 
+@contextlib.contextmanager
+def _alarm(budget_s, what):
+    """Raise :class:`PointTimeout` in the body once ``budget_s``
+    wall-clock seconds pass (unbounded when ``budget_s`` is ``None`` or
+    no alarm can be armed); disarmed, with the previous handler back,
+    on exit."""
+    if budget_s is None or not _can_alarm():
+        yield
+        return
+
+    def on_alarm(signum, frame):
+        raise PointTimeout(
+            f"{what} exceeded {budget_s:.1f}s wall-clock budget")
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, budget_s)
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        if previous is not None:
+            signal.signal(signal.SIGALRM, previous)
+
+
 def evaluate_guarded(point, index, campaign_name, timeout_s, worker_id):
     """Evaluate one point, capturing errors and enforcing the timeout."""
     start = time.perf_counter()
-    use_alarm = timeout_s is not None and _can_alarm()
-    previous = None
     try:
-        if use_alarm:
-            def on_alarm(signum, frame):
-                raise PointTimeout(
-                    f"point exceeded {timeout_s:.1f}s wall-clock budget")
-            previous = signal.signal(signal.SIGALRM, on_alarm)
-            signal.setitimer(signal.ITIMER_REAL, timeout_s)
-        metrics = evaluate_point(point, campaign_name=campaign_name)
+        with _alarm(timeout_s, "point"):
+            metrics = evaluate_point(point, campaign_name=campaign_name)
         result = PointResult(point_id=point.point_id, index=index,
                              ok=True, metrics=metrics)
     except Exception as exc:
@@ -81,11 +98,6 @@ def evaluate_guarded(point, index, campaign_name, timeout_s, worker_id):
         result = PointResult(
             point_id=point.point_id, index=index, ok=False,
             error=f"{type(exc).__name__}: {exc}\n{detail}")
-    finally:
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            if previous is not None:
-                signal.signal(signal.SIGALRM, previous)
     result.elapsed_s = time.perf_counter() - start
     result.worker = worker_id
     event_log().emit("point_complete", worker=worker_id,
@@ -105,35 +117,18 @@ def evaluate_batch_guarded(group, campaign_name, timeout_s, worker_id):
     """
     start = time.perf_counter()
     budget = None if timeout_s is None else timeout_s * len(group)
-    use_alarm = budget is not None and _can_alarm()
-    previous = None
     try:
-        if use_alarm:
-            def on_alarm(signum, frame):
-                raise PointTimeout(
-                    f"batch exceeded {budget:.1f}s wall-clock budget")
-            previous = signal.signal(signal.SIGALRM, on_alarm)
-            signal.setitimer(signal.ITIMER_REAL, budget)
-        metrics_list, stats = run_inject_batch(
-            [point for _, point in group], campaign_name=campaign_name)
+        with _alarm(budget, "batch"):
+            metrics_list, stats = run_inject_batch(
+                [point for _, point in group], campaign_name=campaign_name)
     except Exception:
-        if use_alarm:
-            # Disarm the batch alarm *before* the scalar fallback: the
-            # per-point guards re-arm setitimer one point at a time,
-            # and a still-pending batch alarm firing in a gap between
-            # them would escape every guard and kill the whole loop.
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            if previous is not None:
-                signal.signal(signal.SIGALRM, previous)
-            use_alarm = False
+        # The batch alarm is disarmed by now, as it must be: the
+        # per-point guards re-arm setitimer one point at a time, and a
+        # still-pending batch alarm firing in a gap between them would
+        # escape every guard and kill the whole loop.
         return ([evaluate_guarded(point, index, campaign_name, timeout_s,
                                   worker_id) for index, point in group],
                 None)
-    finally:
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            if previous is not None:
-                signal.signal(signal.SIGALRM, previous)
     elapsed_each = (time.perf_counter() - start) / len(group)
     log = event_log()
     if stats is not None:
@@ -193,13 +188,16 @@ def evaluate_units(units, campaign_name, timeout_s, worker_id, emit,
 
 def warm_worker():
     """Pre-import the simulator and prime every stepper maker so no
-    point pays a first-touch compile inside a pool or runner."""
+    point pays a first-touch compile inside a pool or runner.  Returns
+    the number of makers primed."""
     import repro.campaign.tasks  # noqa: F401 — registers built-in tasks
     import repro.core.system    # noqa: F401 — pulls the simulator in
     from repro.perf.cache import stepper_cache
     from repro.perf.jit import prime_steppers
-    prime_steppers()
+    primed = prime_steppers()
     # Persist anything compiled cold right away: fork-start children
     # exit via os._exit, which skips atexit handlers, so this is the
-    # worker's only chance to share its compiles with future processes.
+    # worker's only chance to share its compiles with future processes
+    # (and concurrent workers forked a moment later find a warm file).
     stepper_cache().flush()
+    return primed

@@ -157,7 +157,7 @@ class CheckerRun:
 
     def _detect(self, cycle, reason):
         if self._rec is not None:
-            segmemo.abandon(self)
+            segmemo.abandon(self, "detection")
         self.verdict = SegmentVerdict(ok=False, finish_cycle=cycle,
                                       seg_id=self.segment.seg_id,
                                       detect_cycle=cycle, reason=reason)
@@ -167,7 +167,7 @@ class CheckerRun:
         """Retire an in-flight memo recording without a verdict (lane
         eviction, empty trailing segment at program end)."""
         if self._rec is not None:
-            segmemo.abandon(self)
+            segmemo.abandon(self, "retired")
 
     @property
     def compare_cycles(self):
@@ -285,7 +285,7 @@ class CheckerRun:
                             # bind this load's completion to delivery
                             # time: the relative schedule is no longer
                             # a pure function of the segment key.
-                            segmemo.abandon(self)
+                            segmemo.abandon(self, "late-load")
                             rec = None
                         else:
                             rec.pcs.append(pc)

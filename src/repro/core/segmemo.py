@@ -30,10 +30,33 @@ clears them before reading.
 
 Campaigns are the customer: thousands of near-identical trials replay
 the same clean segments, and the batched kernel
-(:mod:`repro.perf.batch`) replays each of them once per *lane*.  The
-store is keyed by decoded-program identity (lanes and pooled trials
-share program objects through the campaign program cache), then by
-the segment fingerprint.
+(:mod:`repro.perf.batch`) replays each of them once per *lane*.  Each
+:class:`~repro.perf.decode.DecodedProgram` owns one table, ``memo``,
+mapping a segment fingerprint to one :class:`_Record` (lanes and
+pooled trials share program objects through the campaign program
+cache), so the memo is created with its program and dies with it.
+
+A record is *in flight* while the run that opened its segment first
+(the leader) replays it, logging each entry's schedule.  The batched
+kernel's lanes run in lockstep with a stable lane order, so the leader
+has logged each entry before its sibling lanes reach it: siblings
+attach as *followers* and validate against the growing record instead
+of re-executing.  A clean leader *commits* the record — it gains the
+final state and the icache touch set, and drops its per-instruction pc
+trace — and every later run of the segment is a *hit*.  A leader that
+detects, binds a load late, misses in its icache or leaves its run
+*abandons* the record, which leaves the table; its followers fall
+back.  Hits and followers
+share one validation walk.  A follower only follows a leader of its
+own thread: it drives that leader's replay forward itself (leaders
+advance on demand), which is only sound when the two never run
+concurrently.
+
+Every segment's outcome is counted once in the process metrics
+registry (:func:`repro.obs.metrics.get_registry`): ``segmemo.hit``,
+``segmemo.follow``, ``segmemo.record`` or ``segmemo.unarmed`` when the
+run is armed, then ``segmemo.commit``, ``segmemo.abandon.<cause>`` and
+``segmemo.fallback.<cause>`` as they happen.
 
 ``REPRO_NO_SEGMEMO=1`` disables the memo; the equivalence battery
 pins memo-on and memo-off bit-identical.
@@ -42,70 +65,50 @@ pins memo-on and memo-off bit-identical.
 import os
 import threading
 
-#: Sentinel: the summary cannot describe this segment; re-execute.
+from repro.obs.metrics import get_registry
+
+#: Sentinel: the record cannot describe this segment; re-execute.
 FALLBACK = object()
 
-_MAX_PROGRAMS = 16
-_MAX_SUMMARIES = 8192
-
-#: decoded-program object -> {segment fingerprint -> _Summary}
-_store = {}
-
-#: decoded-program object -> {segment fingerprint -> _Recording}.
-#: In-flight recordings.  The batched kernel's lanes run in lockstep
-#: with a stable lane order, so the first lane to open a segment (the
-#: leader) has logged each entry before its sibling lanes reach the
-#: same entry — siblings attach as *followers* and validate against
-#: the growing recording instead of re-executing, settling from the
-#: committed summary once the leader closes cleanly.  A follower only
-#: follows a leader of its own thread: it drives that leader's replay
-#: forward itself (leaders advance on demand), which is only sound
-#: when the two never run concurrently.
-_inflight = {}
+_MAX_RECORDS = 8192
 
 
 def memo_enabled():
     return os.environ.get("REPRO_NO_SEGMEMO", "") in ("", "0")
 
 
-def clear():
-    """Drop every recorded summary (test isolation)."""
-    _store.clear()
-    _inflight.clear()
+def _count(event):
+    get_registry().counter("segmemo." + event).inc()
 
 
-def stats():
-    """Summary counts per cached program (observability/tests)."""
-    return {"programs": len(_store),
-            "summaries": sum(len(t) for t in _store.values())}
+def _fallback(cause):
+    _count("fallback." + cause)
+    return FALLBACK
 
 
-class _Summary:
-    """Everything a validated repeat needs to stand in for a replay."""
+class _Record:
+    """One segment's memo entry: in flight, then committed or
+    abandoned."""
 
     __slots__ = (
-        "n_instrs", "positions", "recs", "complete_rel", "is_load",
-        "final_int_regs", "final_fp_regs", "final_csrs", "final_pc",
-        "time_rel", "busy_rel", "div_final_rel", "fpu_final_rel",
-        "touches", "same_line_hits", "final_line")
-
-
-class _Recording:
-    """In-flight capture of one segment's first (clean) replay."""
-
-    __slots__ = ("key", "pcs", "positions", "recs", "complete_rel",
-                 "is_load", "start", "entry_line", "div0", "fpu0",
-                 "busy0", "misses0", "summary", "abandoned", "owner",
-                 "thread")
+        "key", "owner", "thread", "committed", "abandoned",
+        # The entry schedule, grown by the leader while in flight.
+        "pcs", "positions", "recs", "complete_rel", "is_load",
+        # The leader's pipeline at segment start.
+        "start", "entry_line", "div0", "fpu0", "busy0", "misses0",
+        # Set at commit: everything a hit needs to stand in for a replay.
+        "n_instrs", "final_int_regs", "final_fp_regs", "final_csrs",
+        "final_pc", "time_rel", "busy_rel", "div_final_rel",
+        "fpu_final_rel", "touches", "same_line_hits", "final_line")
 
     def __init__(self, key, start, entry_line, owner):
         pipeline = owner.pipeline
         self.key = key
-        self.summary = None
-        self.abandoned = False
-        #: The leader's CheckerRun while the recording is in flight.
+        #: The leader's CheckerRun while the record is in flight.
         self.owner = owner
         self.thread = threading.get_ident()
+        self.committed = False
+        self.abandoned = False
         self.pcs = []
         self.positions = []
         self.recs = []
@@ -139,32 +142,39 @@ def _segment_key(run):
             _pipeline_key(run.pipeline))
 
 
+def _resident(pipeline, rec):
+    """Whether every line a committed record touches is resident.
+    Resident lines stay resident: a hit performs no fills, so this
+    holds for the whole segment."""
+    probe = pipeline.icache.probe
+    for pc in rec.touches:
+        if not probe(pc):
+            return False
+    return True
+
+
 def prepare(run):
-    """Arm ``run`` with a memo hit, or a recording, if eligible."""
+    """Arm ``run`` as a hit, a follower or a leader, if eligible."""
     pipeline = run.pipeline
     start = run.start_cycle
     if pipeline._div_free > start or pipeline._fpu_free > start:
         # Ambient unit-busy state can stall replay issue: neither a
         # hit (the rels assume no stall) nor a recording (the rels
         # would bake the stall in) is sound.
+        _count("unarmed")
         return
     key = _segment_key(run)
-    table = _store.get(run._decoded)
-    summary = table.get(key) if table is not None else None
-    if summary is not None:
-        probe = pipeline.icache.probe
-        for pc in summary.touches:
-            if not probe(pc):
-                return
-        # Resident lines stay resident: a hit performs no fills, so
-        # the probe above holds for the whole segment.
-        run._memo = summary
-        return
-    infl = _inflight.get(run._decoded)
-    if infl is not None:
-        rec = infl.get(key)
-        if (rec is not None and not rec.abandoned
-                and rec.thread == threading.get_ident()):
+    table = run._decoded.memo
+    rec = table.get(key)
+    if rec is not None:
+        if rec.committed:
+            if _resident(pipeline, rec):
+                run._memo = rec
+                _count("hit")
+            else:
+                _count("unarmed")
+            return
+        if rec.thread == threading.get_ident():
             run._follow = rec
             # Incremental icache-residency verification state: the
             # leader's relative schedule assumes every fetch hits, so
@@ -172,76 +182,47 @@ def prepare(run):
             # pc trace before trusting a consume time derived from it.
             run._follow_i = 0
             run._follow_line = pipeline._ic_line[0]
+            _count("follow")
             return
-    if run._memo_record:
-        rec = _Recording(key, start, pipeline._ic_line[0], run)
-        run._rec = rec
-        if infl is None:
-            infl = _inflight[run._decoded] = {}
-        infl[key] = rec
+    if not run._memo_record:
+        _count("unarmed")
+        return
+    rec = _Record(key, start, pipeline._ic_line[0], run)
+    run._rec = rec
+    if len(table) >= _MAX_RECORDS:
+        table.pop(next(iter(table)))
+    table[key] = rec
+    _count("record")
 
 
-def abandon(run):
-    """Drop ``run``'s in-flight recording (detection, late load bind,
-    lane eviction, empty trailing segment).  Followers already attached
-    to it fall back to real replay at their next advance."""
+def abandon(run, cause):
+    """Drop ``run``'s in-flight record (``cause``: a detection, a late
+    load bind, an icache miss, or the run retiring it — lane eviction,
+    an unwound run, an empty trailing segment).  Followers already
+    attached to it fall back at their next advance."""
     rec = run._rec
     run._rec = None
     if rec is None:
         return
     rec.abandoned = True
-    _unregister(run._decoded, rec)
-
-
-def _unregister(decoded, rec):
     rec.owner = None
-    infl = _inflight.get(decoded)
-    if infl is not None and infl.get(rec.key) is rec:
-        del infl[rec.key]
-        if not infl:
-            del _inflight[decoded]
+    table = run._decoded.memo
+    if table.get(rec.key) is rec:
+        del table[rec.key]
+    _count("abandon." + cause)
 
 
-def follow_advance(run):
-    """Advance a follower against its leader's in-flight recording.
+def _walk(run, rec):
+    """Validate the run's log against ``rec``'s schedule from
+    ``run.next_entry`` on, emitting each proven consumption time.
 
-    Validates entries exactly as :func:`memo_advance` does, and
-    settles from the committed summary once the leader closes.  The
-    leader advances on demand, so the follower first drives the
-    leader's replay as far as the leader's log allows; lanes log in a
-    fixed order within each lockstep commit, so that covers every
-    entry the follower may consume.  Any leader misadventure
-    (abandoned recording, missing summary at close, diverged entry)
-    returns :data:`FALLBACK`.
+    Stops at the run's allowed count or the end of the log so far.
+    Returns ``None``, or the cause when the record cannot describe
+    this segment.  An in-flight record's schedule assumed all-hit
+    fetches, so against one the walk also probes every line the leader
+    fetched up to each entry's instruction.
     """
-    rec = run._follow
-    leader = rec.owner
-    if leader is not None:
-        leader.advance()
-        if leader.pipeline.icache.misses != rec.misses0:
-            # The leader's fetches missed: its relative schedule carries
-            # miss penalties this follower's resident lines would not
-            # pay, and the recording can never commit.
-            abandon(leader)
-    pipeline = run.pipeline
-    probe = pipeline.icache.probe
-    if rec.summary is not None:
-        # Leader closed cleanly.  Probe the whole touch set (tail
-        # lines included) before adopting the summary, exactly as a
-        # store hit would have at prepare time.
-        m = rec.summary
-        for pc in m.touches:
-            if not probe(pc):
-                return FALLBACK
-        run._follow = None
-        run._memo = m
-        return memo_advance(run)
-    if rec.abandoned:
-        return FALLBACK
     seg = run.segment
-    if seg.closed:
-        # Our segment settled before the leader's: boundaries diverged.
-        return FALLBACK
     allowed = run._allowed_count
     entries = seg.entries
     deliveries = seg.entry_deliveries
@@ -250,90 +231,44 @@ def follow_advance(run):
     recs = rec.recs
     complete_rel = rec.complete_rel
     is_load = rec.is_load
-    pcs = rec.pcs
+    pcs = rec.pcs  # None once committed
     total = len(positions)
     start = run.start_cycle
     record_consumption = run.lsl.record_consumption
-    shift = pipeline.icache._offset_bits
-    i = run._follow_i
-    cur = run._follow_line
-    k = run.next_entry
-    while k < total and k < num_avail and positions[k] < allowed:
-        entry = entries[k]
-        r = recs[k]
-        if (entry.rkind is not r[0] or entry.addr != r[1]
-                or entry.data != r[2] or entry.size != r[3]):
-            return FALLBACK
-        # The consume time below embeds the leader's issue schedule,
-        # which assumed all-hit fetches: verify residency of every
-        # line fetched up to and including this entry's instruction.
-        limit = positions[k]
-        while i <= limit:
-            pc_i = pcs[i]
-            line = pc_i >> shift
-            if line != cur:
-                if not probe(pc_i):
-                    return FALLBACK
-                cur = line
-            i += 1
-        run._follow_i = i
-        run._follow_line = cur
-        delivery = deliveries[k]
-        complete = start + complete_rel[k]
-        if is_load[k]:
-            if delivery > complete:
-                return FALLBACK
-            consume = complete
-        else:
-            consume = complete if complete > delivery else delivery
-        k += 1
-        run.next_entry = k
-        record_consumption(consume)
-    return None
-
-
-def memo_advance(run):
-    """Advance a memo-hit run without executing.
-
-    Returns the final verdict, ``None`` (waiting on the main thread,
-    exactly where the replay loop would wait), or :data:`FALLBACK`
-    when the recording cannot describe this segment.
-    """
-    m = run._memo
-    seg = run.segment
-    n_instrs = m.n_instrs
-    if seg.closed:
-        if seg.instr_count != n_instrs:
-            return FALLBACK  # segment boundary diverged
-    elif seg.instr_count > n_instrs:
-        return FALLBACK  # ran past the recorded boundary while open
-    allowed = run._allowed_count
-    entries = seg.entries
-    deliveries = seg.entry_deliveries
-    num_avail = len(entries)
-    positions = m.positions
-    recs = m.recs
-    complete_rel = m.complete_rel
-    is_load = m.is_load
-    total = len(positions)
-    start = run.start_cycle
-    record_consumption = run.lsl.record_consumption
+    if pcs is not None:
+        icache = run.pipeline.icache
+        probe = icache.probe
+        shift = icache._offset_bits
+        i = run._follow_i
+        cur = run._follow_line
     k = run.next_entry
     while k < total and positions[k] < allowed:
         if k >= num_avail:
             if seg.closed:
-                return FALLBACK  # replay would detect log-exhausted
+                return "log-exhausted"  # replay would detect it
             break  # entry not produced yet; wait
         entry = entries[k]
-        rec = recs[k]
-        if (entry.rkind is not rec[0] or entry.addr != rec[1]
-                or entry.data != rec[2] or entry.size != rec[3]):
-            return FALLBACK  # corrupted (or diverging) record
+        r = recs[k]
+        if (entry.rkind is not r[0] or entry.addr != r[1]
+                or entry.data != r[2] or entry.size != r[3]):
+            return "entry"  # corrupted (or diverging) record
+        if pcs is not None:
+            limit = positions[k]
+            while i <= limit:
+                pc_i = pcs[i]
+                line = pc_i >> shift
+                if line != cur:
+                    if not probe(pc_i):
+                        return "icache"
+                    cur = line
+                i += 1
+            run._follow_i = i
+            run._follow_line = cur
         delivery = deliveries[k]
         complete = start + complete_rel[k]
         if is_load[k]:
             if delivery > complete:
-                return FALLBACK  # late data bind would stall the replay
+                return "late-load"  # the bind would stall the replay
             consume = complete
         else:
             consume = complete if complete > delivery else delivery
@@ -342,12 +277,72 @@ def memo_advance(run):
         # Proven equal to what the replay would emit: safe to record
         # even though the segment may still fall back later.
         record_consumption(consume)
-    if not seg.closed or allowed < n_instrs:
+    return None
+
+
+def follow_advance(run):
+    """Advance a follower against its leader's in-flight record.
+
+    The leader advances on demand, so the follower first drives the
+    leader's replay as far as the leader's log allows; lanes log in a
+    fixed order within each lockstep commit, so that covers every
+    entry the follower may consume.  Once the leader commits, the
+    follower settles through :func:`memo_advance` as a hit.  Any
+    leader misadventure (abandoned record, diverged entry) returns
+    :data:`FALLBACK`.
+    """
+    rec = run._follow
+    leader = rec.owner
+    if leader is not None:
+        leader.advance()
+        if leader.pipeline.icache.misses != rec.misses0:
+            # The leader's fetches missed: its relative schedule carries
+            # miss penalties this follower's resident lines would not
+            # pay, and the record can never commit.
+            abandon(leader, "icache-miss")
+    if rec.committed:
+        # Probe the whole touch set (tail lines included) before
+        # settling, exactly as a hit would have at prepare time.
+        if not _resident(run.pipeline, rec):
+            return _fallback("icache")
+        run._follow = None
+        run._memo = rec
+        return memo_advance(run)
+    if rec.abandoned:
+        return _fallback("leader-abandoned")
+    if run.segment.closed:
+        # Our segment settled before the leader's: boundaries diverged.
+        return _fallback("boundary")
+    cause = _walk(run, rec)
+    return None if cause is None else _fallback(cause)
+
+
+def memo_advance(run):
+    """Advance a hit without executing.
+
+    Returns the final verdict, ``None`` (waiting on the main thread,
+    exactly where the replay loop would wait), or :data:`FALLBACK`
+    when the record cannot describe this segment.
+    """
+    m = run._memo
+    seg = run.segment
+    n_instrs = m.n_instrs
+    if seg.closed:
+        if seg.instr_count != n_instrs:
+            return _fallback("boundary")
+    elif seg.instr_count > n_instrs:
+        return _fallback("boundary")  # ran past the recorded boundary
+    cause = _walk(run, m)
+    if cause is not None:
+        return _fallback(cause)
+    if not seg.closed:
         return None
-    if k != total or num_avail != total:
-        return FALLBACK  # the main thread logged a different stream
+    total = len(m.positions)
+    if run.next_entry != total or len(seg.entries) != total:
+        return _fallback("stream")  # the main thread logged more
     # The whole segment matches: apply the deferred pipeline state
     # exactly as the replay would have left it, then settle.
+    start = run.start_cycle
     pipeline = run.pipeline
     lookup = pipeline.icache.lookup
     for pc in m.touches:
@@ -366,34 +361,29 @@ def memo_advance(run):
 
 
 def commit_recording(run):
-    """Store a finished recording (called on clean verdicts only)."""
-    rec = run._rec
-    run._rec = None
+    """Commit the run's finished record (called on clean verdicts
+    only)."""
     pipeline = run.pipeline
     icache = pipeline.icache
+    rec = run._rec
     if icache.misses != rec.misses0:
         # A fetch missed: line residency cannot be promised.
-        rec.abandoned = True
-        _unregister(run._decoded, rec)
+        abandon(run, "icache-miss")
         return
+    run._rec = None
     state = run.state
-    m = _Summary()
-    m.n_instrs = run.executed
-    m.positions = rec.positions
-    m.recs = rec.recs
-    m.complete_rel = rec.complete_rel
-    m.is_load = rec.is_load
-    m.final_int_regs = tuple(state.int_regs)
-    m.final_fp_regs = tuple(state.fp_regs)
-    m.final_csrs = dict(state.csrs)
-    m.final_pc = state.pc
+    rec.n_instrs = run.executed
+    rec.final_int_regs = tuple(state.int_regs)
+    rec.final_fp_regs = tuple(state.fp_regs)
+    rec.final_csrs = dict(state.csrs)
+    rec.final_pc = state.pc
     start = rec.start
-    m.time_rel = pipeline.time - start
-    m.busy_rel = pipeline.busy_cycles - rec.busy0
+    rec.time_rel = pipeline.time - start
+    rec.busy_rel = pipeline.busy_cycles - rec.busy0
     div = pipeline._div_free
-    m.div_final_rel = div - start if div != rec.div0 else None
+    rec.div_final_rel = div - start if div != rec.div0 else None
     fpu = pipeline._fpu_free
-    m.fpu_final_rel = fpu - start if fpu != rec.fpu0 else None
+    rec.fpu_final_rel = fpu - start if fpu != rec.fpu0 else None
     shift = icache._offset_bits
     cur = rec.entry_line
     touches = []
@@ -405,19 +395,15 @@ def commit_recording(run):
         else:
             touches.append(pc)
             cur = line
-    m.touches = touches
-    m.same_line_hits = same_hits
-    m.final_line = cur
-    # Publish to followers first (they hold the recording object),
-    # then retire it from the in-flight registry and the store.
-    rec.summary = m
-    _unregister(run._decoded, rec)
-    table = _store.get(run._decoded)
-    if table is None:
-        if len(_store) >= _MAX_PROGRAMS:
-            _store.pop(next(iter(_store)))
-        table = {}
-        _store[run._decoded] = table
-    if len(table) >= _MAX_SUMMARIES:
-        table.pop(next(iter(table)))
-    table[rec.key] = m
+    rec.touches = touches
+    rec.same_line_hits = same_hits
+    rec.final_line = cur
+    # The touch set replaces the per-instruction trace: a committed
+    # record stays in the table for the program's lifetime.
+    rec.pcs = None
+    rec.owner = None
+    rec.committed = True
+    # Another thread's record for the same key may have displaced this
+    # one while it was in flight; the committed one wins.
+    run._decoded.memo[rec.key] = rec
+    _count("commit")

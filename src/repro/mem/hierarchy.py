@@ -134,15 +134,6 @@ class MemoryHierarchy:
         completion = l1.mshr_allocate(now, now + latency)
         return completion - now
 
-    def load_latency(self, addr, now):
-        return self.access(addr, now, AccessKind.LOAD)
-
-    def store_latency(self, addr, now):
-        return self.access(addr, now, AccessKind.STORE)
-
-    def ifetch_latency(self, addr, now):
-        return self.access(addr, now, AccessKind.IFETCH)
-
     def stats(self):
         return {
             "l1i": self.l1i.stats(),

@@ -142,24 +142,6 @@ class _Plan:
         self.writes_fp = spec.writes_fp_rd
 
 
-# DecodedProgram has __slots__, so plans live in a small side cache
-# keyed by decoded-program identity (bounded: campaigns reuse a handful
-# of programs; entries are evicted FIFO).
-_plan_cache = {}
-_PLAN_CACHE_MAX = 64
-
-
-def _plans_for(decoded):
-    cached = _plan_cache.get(id(decoded))
-    if cached is not None and cached[0] is decoded:
-        return cached[1]
-    plans = [_Plan(d) for d in decoded.entries]
-    if len(_plan_cache) >= _PLAN_CACHE_MAX:
-        _plan_cache.pop(next(iter(_plan_cache)))
-    _plan_cache[id(decoded)] = (decoded, plans)
-    return plans
-
-
 class BatchOutcome:
     """What one batch produced.
 
@@ -216,7 +198,10 @@ class _BatchEngine:
             # kernel is already optimal; nothing to batch.
             raise BatchError("batching requires checking_enabled")
         self.decoded = decode_program(program)
-        self.plans = _plans_for(self.decoded)
+        if self.decoded.batch_plans is None:
+            self.decoded.batch_plans = [_Plan(d)
+                                        for d in self.decoded.entries]
+        self.plans = self.decoded.batch_plans
         for plan in self.plans:
             if plan.cls is InstrClass.MEEK:
                 raise BatchError("MEEK-extension programs are not batchable")

@@ -326,7 +326,6 @@ def _bench_batch_kernel(workload, instructions, seed, lanes=64, reps=3,
     from repro.campaign.spec import CampaignPoint
     from repro.campaign.tasks import (_PROGRAM_CACHE, run_inject_batch,
                                       run_inject_point)
-    from repro.core import segmemo
 
     def grid(count, base_trial):
         return [CampaignPoint(task="inject", workload=workload,
@@ -340,11 +339,10 @@ def _bench_batch_kernel(workload, instructions, seed, lanes=64, reps=3,
     evicted_total = lanes_total = 0
     try:
         # Warm everything both sides share: decoded program, steppers,
-        # and the segment-memo store (steady state for a campaign
+        # and the program's segment memo (steady state for a campaign
         # worker that processes many batches of one program).
         os.environ["REPRO_NO_SEGMEMO"] = "0"
         run_inject_point(grid(1, 0)[0], "bench-batch")
-        segmemo.clear()
         run_inject_batch(grid(lanes, 1000), "bench-batch")
         trial = 2000
         for _ in range(reps):

@@ -229,8 +229,8 @@ class DecodedProgram:
     kernels.
     """
 
-    __slots__ = ("base", "entries", "needs_entry", "replay_tables", "_n",
-                 "_source")
+    __slots__ = ("base", "entries", "needs_entry", "replay_tables", "memo",
+                 "batch_plans", "_n", "_source")
 
     def __init__(self, program):
         self.base = program.base
@@ -243,6 +243,12 @@ class DecodedProgram:
         #: Checker replay closure tables, one per little-core timing
         #: configuration (:func:`repro.perf.jit.replay_table`).
         self.replay_tables = {}
+        #: Segment memo table: fingerprint -> record
+        #: (:mod:`repro.core.segmemo`).
+        self.memo = {}
+        #: Lockstep kernel per-instruction plans, built on first use
+        #: (:mod:`repro.perf.batch`).
+        self.batch_plans = None
 
     def stale_for(self, program):
         """Whether the program's instruction list changed under us."""

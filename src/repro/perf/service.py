@@ -50,16 +50,9 @@ class ExecutionService:
         self._warmed = True
         from repro.obs.events import event_log
         with event_log().span("service_warm"):
-            import repro.campaign.tasks  # noqa: F401 — registers tasks
-            import repro.core.system    # noqa: F401
             import repro.difftest.harness  # noqa: F401
-            from repro.perf.cache import stepper_cache
-            from repro.perf.jit import prime_steppers
-            primed = prime_steppers()
-            # Persist immediately: concurrent workers forked a moment
-            # later should find a warm file rather than re-compiling.
-            stepper_cache().flush()
-        return primed
+            from repro.campaign.work import warm_worker
+            return warm_worker()
 
     # -- the persistent pool -----------------------------------------------
 
@@ -128,11 +121,3 @@ def get_service():
     if _service is None:
         _service = ExecutionService()
     return _service
-
-
-def reset_service():
-    """Tear down the singleton (tests)."""
-    global _service
-    if _service is not None:
-        _service.shutdown()
-    _service = None

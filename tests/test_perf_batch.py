@@ -31,6 +31,7 @@ from repro.core import segmemo
 from repro.core.checker import CheckerRun
 from repro.core.faults import CANONICAL_MODEL_SPECS
 from repro.core.system import MeekSystem
+from repro.perf.decode import decode_program
 from repro.workloads import all_profiles
 
 PROFILE_NAMES = [profile.name for profile in all_profiles()]
@@ -43,8 +44,8 @@ def _fresh(monkeypatch, no_segmemo=False, no_batch=False):
         monkeypatch.setenv("REPRO_BATCH", "1")
     else:
         monkeypatch.delenv("REPRO_BATCH", raising=False)
+    # A fresh program is a fresh decode, and so a cold segment memo.
     _PROGRAM_CACHE.clear()
-    segmemo.clear()
 
 
 def _points(workload, trials, instructions=1_500, rate=0.01, seed=0,
@@ -133,6 +134,7 @@ def test_batch_widths_bit_identical(lanes, monkeypatch):
     assert rows == reference
 
 
+@pytest.mark.quick
 def test_forced_eviction_hook_bit_identical(monkeypatch):
     """Lanes forced out mid-run rerun scalar from cycle 0 — including
     lane 0, the lane most likely to lead in-flight memo recordings."""
@@ -489,7 +491,77 @@ def test_unwound_run_retires_its_recording(monkeypatch):
     monkeypatch.setattr(CheckerRun, "advance", advance)
     with pytest.raises(Interrupt):
         run_inject_point(program_point, "t")
-    assert segmemo._inflight == {}
+    memo = decode_program(build_program(program_point)).memo
+    assert all(rec.committed for rec in memo.values())
+
+
+#: Per-segment memo outcomes of :func:`_memo_batches`, cold memo then
+#: warm.  These move only when the memo's decisions do.
+COLD_MEMO_COUNTS = {
+    "abandon.detection": 2, "abandon.icache-miss": 5,
+    "abandon.late-load": 1, "commit": 1, "fallback.leader-abandoned": 25,
+    "follow": 28, "record": 9, "unarmed": 54}
+WARM_MEMO_COUNTS = {
+    "abandon.detection": 1, "abandon.icache-miss": 5,
+    "abandon.late-load": 1, "commit": 3, "fallback.entry": 6,
+    "fallback.leader-abandoned": 31, "follow": 41, "hit": 5, "record": 10,
+    "unarmed": 33}
+
+
+def _memo_batches():
+    """Two 8-lane batches of one program over a 1 KB LSL: the second
+    runs on the memo the first left."""
+    points = _points("streamcluster", 16, instructions=4_000, rate=0.003,
+                     lsl_kb=1)
+    return points[:8], points[8:]
+
+
+@pytest.mark.quick
+def test_memo_outcome_counts(monkeypatch):
+    """Rows stay byte-identical whether the memo hits or not, so they
+    cannot show a memo that silently stopped hitting; these counts do.
+    Each segment is armed once (hit, follow, record or unarmed) and
+    each commit, abandon and fallback is counted once, by cause."""
+    from repro.obs.metrics import get_registry, reset_registry
+
+    _fresh(monkeypatch)
+    seen = []
+    try:
+        for batch in _memo_batches():
+            reset_registry()
+            run_inject_batch(batch, "t")
+            counters = get_registry().snapshot().get("counters", {})
+            seen.append({name[len("segmemo."):]: value
+                         for name, value in counters.items()
+                         if name.startswith("segmemo.")})
+    finally:
+        reset_registry()
+    assert seen == [COLD_MEMO_COUNTS, WARM_MEMO_COUNTS]
+
+
+def test_memo_dies_with_its_program(monkeypatch):
+    """The memo table and the batch plans live on the decoded program,
+    so once the campaign program cache drops a program, nothing keeps
+    its decode alive."""
+    import gc
+
+    from repro.perf.decode import DecodedProgram
+
+    def live_decodes():
+        gc.collect()
+        return sum(isinstance(obj, DecodedProgram)
+                   for obj in gc.get_objects())
+
+    _fresh(monkeypatch)
+    before = live_decodes()
+    batch = _memo_batches()[0]
+    run_inject_batch(batch, "t")
+    decoded = decode_program(build_program(batch[0]))
+    assert decoded.memo and decoded.batch_plans, \
+        "the batch left no memo: the check is vacuous"
+    del decoded
+    _PROGRAM_CACHE.clear()
+    assert live_decodes() == before
 
 
 class TestCampaignIntegration:
