@@ -10,7 +10,9 @@ register/heartbeat/restart pattern, adapted to work-stealing):
   :meth:`~RunnerHub.heartbeat`, and a closed connection reports
   :meth:`~RunnerHub.lost_channel`.  While a campaign executes, a
   :class:`Drive` is attached and leases flow; between campaigns
-  runners idle on empty leases.
+  runners idle in *held* leases (long polling, RFC 6202): the master
+  answers an empty lease only when work appears, the hub closes, or
+  the runner's hold window passes.  A closed hub answers ``bye``.
 * :func:`serve_runners` — the TCP runner port: a line server that
   answers ``runner_*`` methods only (anything else gets
   ``bad_request``).  **Security note: the port does no
@@ -26,7 +28,8 @@ register/heartbeat/restart pattern, adapted to work-stealing):
   source uses, and stream the result rows back (pipelined, one
   response drain per chunk).  Reconnects with backoff when the master
   goes away, so a restarted master gets its fleet back without anyone
-  touching the runner hosts.
+  touching the runner hosts; a master that finishes says ``bye`` and
+  the runner returns.
 
 The wire itself is not here: one
 :class:`~repro.serve.protocol.LineServer` and one
@@ -86,12 +89,21 @@ class Drive:
     never race.
     """
 
-    def __init__(self, sched, campaign_name, timeout_s=None):
+    def __init__(self, sched, campaign_name, timeout_s=None,
+                 on_requeue=None):
         self._sched = sched
         self._lock = threading.Lock()
         self._deliverables = []
         self.campaign_name = campaign_name
         self.timeout_s = timeout_s
+        #: Called (outside the lock) whenever units requeue, so a
+        #: source waiting for work can lease them at once.
+        self._on_requeue = on_requeue
+
+    def _requeued(self, chunks):
+        if chunks and self._on_requeue is not None:
+            self._on_requeue()
+        return chunks
 
     # -- leasing (any thread) ----------------------------------------------
 
@@ -128,7 +140,7 @@ class Drive:
         with self._lock:
             requeued, failed = self._sched.release(owner)
             self._deliverables.extend(failed)
-        return requeued
+        return self._requeued(requeued)
 
     def renew(self, owner):
         with self._lock:
@@ -136,7 +148,8 @@ class Drive:
 
     def expire(self, now):
         with self._lock:
-            return self._sched.expire(now)
+            expired = self._sched.expire(now)
+        return self._requeued(expired)
 
     # -- folding (drive loop) ----------------------------------------------
 
@@ -170,7 +183,7 @@ class _Runner:
 
     __slots__ = ("runner_id", "name", "pid", "slots", "channel",
                  "alive", "connected_unix", "last_seen_unix",
-                 "points", "chunks")
+                 "points", "chunks", "told_bye")
 
     def __init__(self, runner_id, name, pid, slots, channel):
         self.runner_id = runner_id
@@ -183,6 +196,7 @@ class _Runner:
         self.last_seen_unix = self.connected_unix
         self.points = 0
         self.chunks = 0
+        self.told_bye = False
 
 
 class RunnerHub:
@@ -191,24 +205,88 @@ class RunnerHub:
     ``lease_timeout_s`` is the base deadline of a runner lease (see
     :func:`~repro.campaign.transport.effective_lease_timeout`); rows
     and heartbeats renew it.
+
+    One condition on the hub's lock wakes every waiter — a held lease,
+    the drive loop, :meth:`wait_for` — on each change one of them can
+    act on: a runner registers or is lost, a drive attaches or
+    detaches, a row lands, a unit requeues, or the hub closes.
+    :attr:`changes` counts them, so a waiter that looked at the hub
+    before waiting cannot miss one.
     """
 
     def __init__(self, lease_timeout_s=60.0):
         self.lease_timeout_s = lease_timeout_s
         self._lock = threading.Lock()
+        self._changed = threading.Condition(self._lock)
+        self._changes = 0
+        self._closed = False
         self._runners = {}
         self._next_id = 1
         self._drive = None
+
+    # -- change notification -----------------------------------------------
+
+    def _notify(self):
+        """Count a change and wake every waiter (lock held)."""
+        self._changes += 1
+        self._changed.notify_all()
+
+    def poke(self):
+        """Record a change from outside the hub (units requeued)."""
+        with self._lock:
+            self._notify()
+
+    @property
+    def changes(self):
+        with self._lock:
+            return self._changes
+
+    def wait_change(self, since, timeout_s):
+        """Block until the hub changed after ``since`` (a
+        :attr:`changes` reading) or ``timeout_s`` passes; true when it
+        changed."""
+        with self._changed:
+            return self._changed.wait_for(
+                lambda: self._changes != since, timeout_s)
+
+    def close(self, timeout_s=1.0):
+        """Close the hub: held and later leases answer ``bye``.
+
+        Every waiter wakes at once.  Returns once each live runner has
+        been told ``bye`` (or is gone), or after ``timeout_s`` — a
+        runner still evaluating a stale unit is not waited for.
+        """
+        with self._changed:
+            self._closed = True
+            self._notify()
+            self._changed.wait_for(
+                lambda: all(r.told_bye or not r.alive
+                            for r in self._runners.values()),
+                timeout_s)
+
+    def bye(self, runner_id):
+        """True (and noted) when the hub is closed: the empty lease
+        just answered to ``runner_id`` is its last."""
+        with self._lock:
+            if not self._closed:
+                return False
+            runner = self._runners.get(runner_id)
+            if runner is not None:
+                runner.told_bye = True
+                self._notify()
+            return True
 
     # -- drive attachment (drive loop) -------------------------------------
 
     def attach(self, drive):
         with self._lock:
             self._drive = drive
+            self._notify()
 
     def detach(self):
         with self._lock:
             self._drive = None
+            self._notify()
 
     def _current_drive(self):
         with self._lock:
@@ -222,6 +300,7 @@ class RunnerHub:
             self._next_id += 1
             runner = _Runner(runner_id, name, pid, slots, channel)
             self._runners[runner_id] = runner
+            self._notify()
         event_log().emit("runner_register", runner=runner_id,
                          name=runner.name, pid=pid, slots=runner.slots)
         return runner_id
@@ -237,7 +316,25 @@ class RunnerHub:
         runner.last_seen_unix = time.time()
         return runner
 
-    def lease(self, runner_id):
+    def lease(self, runner_id, wait_s=None):
+        """Lease the next unit to ``runner_id``: its wire payload, or
+        ``None``.
+
+        With ``wait_s`` an empty answer is held: the lease retries on
+        every hub change until a unit is leased, the hub closes, or
+        ``wait_s`` passes.  Each try is one immediate :meth:`lease`,
+        so a traced lease marks when work was granted, not when the
+        hold began, and each refreshes the runner's last-seen.
+        """
+        if wait_s is not None and wait_s > 0:
+            deadline = time.monotonic() + wait_s
+            while True:
+                since = self.changes
+                work = self.lease(runner_id)
+                remaining = deadline - time.monotonic()
+                if work is not None or self._closed or remaining <= 0:
+                    return work
+                self.wait_change(since, remaining)
         with self._lock:
             runner = self._touch(runner_id)
         drive = self._current_drive()
@@ -261,6 +358,7 @@ class RunnerHub:
         if drive is not None:
             drive.record(chunk, epoch, row)
             drive.renew(self._owner(runner_id))
+            self.poke()
 
     def heartbeat(self, runner_id):
         with self._lock:
@@ -276,6 +374,7 @@ class RunnerHub:
             if runner is None or not runner.alive:
                 return
             runner.alive = False
+            self._notify()
         event_log().emit("runner_lost", runner=runner_id,
                          name=runner.name)
         drive = self._current_drive()
@@ -296,22 +395,20 @@ class RunnerHub:
 
     # -- queries -----------------------------------------------------------
 
+    def _active(self):
+        return sum(1 for r in self._runners.values() if r.alive)
+
     def active_count(self):
         with self._lock:
-            return sum(1 for r in self._runners.values() if r.alive)
+            return self._active()
 
-    def wait_for(self, count, timeout_s=None, poll_s=0.05):
+    def wait_for(self, count, timeout_s=None):
         """Block until ``count`` runners are registered (or timeout);
         returns the active count either way."""
-        deadline = (None if timeout_s is None
-                    else time.monotonic() + timeout_s)
-        while True:
-            active = self.active_count()
-            if active >= count:
-                return active
-            if deadline is not None and time.monotonic() > deadline:
-                return active
-            time.sleep(poll_s)
+        with self._changed:
+            self._changed.wait_for(lambda: self._active() >= count,
+                                   timeout_s)
+            return self._active()
 
     def runners_info(self):
         """Per-runner health/throughput snapshot (live status, hello)."""
@@ -340,7 +437,11 @@ def handle_runner_method(hub, channel, method, params):
         return {"runner": runner_id,
                 "schema": protocol.PROTOCOL_SCHEMA}
     if method == "runner_lease":
-        return {"work": hub.lease(params["runner"])}
+        runner_id = params["runner"]
+        work = hub.lease(runner_id, params.get("wait_s"))
+        if work is None and hub.bye(runner_id):
+            return {"work": None, "bye": True}
+        return {"work": work}
     if method == "runner_row":
         hub.row(params["runner"], params["chunk"], params["epoch"],
                 params["row"])
@@ -378,18 +479,21 @@ def run_runner(address, name=None, poll_s=0.5, reconnect=True,
 
     Connect to a master at ``address`` (``HOST:PORT`` or a Unix
     socket path), register, then lease chunks and stream rows until
-    the connection dies.  With ``reconnect`` the runner retries for
-    ``retry_s`` seconds of continuous failure before giving up — a
-    master restart inside that window gets this runner back without
-    intervention.  While a lease evaluates, a helper thread casts a
-    heartbeat every ``heartbeat_s`` seconds so a legitimately slow
-    unit (an unbounded point, a wide batch group) keeps renewing its
-    lease instead of expiring mid-evaluation and livelocking the
-    campaign on requeues.  ``max_chunks`` bounds the loop for tests
-    and drills; ``idle_exit_s`` ends it once that long has passed
-    without a lease grant, whether the master is idle or gone (while
-    retrying, it wins over ``retry_s``).  Returns the number of chunks
-    evaluated.
+    the master says ``bye`` (it finished) or the connection dies.
+    Leases are long polls: the master holds an empty one for up to
+    ``poll_s`` seconds, so an idle runner neither sleeps nor
+    heartbeats, and picks up the next campaign the moment it starts.
+    With ``reconnect`` the runner retries for ``retry_s`` seconds of
+    continuous failure before giving up — a master restart inside that
+    window gets this runner back without intervention.  While a lease
+    evaluates, a helper thread casts a heartbeat every ``heartbeat_s``
+    seconds so a legitimately slow unit (an unbounded point, a wide
+    batch group) keeps renewing its lease instead of expiring
+    mid-evaluation and livelocking the campaign on requeues.
+    ``max_chunks`` bounds the loop for tests and drills;
+    ``idle_exit_s`` ends it once that long has passed without a lease
+    grant, whether the master is idle or gone (while retrying, it wins
+    over ``retry_s``).  Returns the number of chunks evaluated.
     """
     chunks_done = 0
     last_grant = time.monotonic()
@@ -409,16 +513,16 @@ def run_runner(address, name=None, poll_s=0.5, reconnect=True,
             event_log().emit("runner_connected", runner=runner_id,
                              address=address, name=worker_id)
             while True:
-                work = channel.call("runner_lease",
-                                    {"runner": runner_id})["work"]
+                work = _lease(channel, runner_id, poll_s)
+                if work is _BYE:
+                    if on_status is not None:
+                        on_status("the master said bye")
+                    return chunks_done
                 if work is None:
                     if (idle_exit_s is not None
                             and time.monotonic() - last_grant
                             > idle_exit_s):
                         return chunks_done
-                    channel.call("runner_heartbeat",
-                                 {"runner": runner_id})
-                    time.sleep(poll_s)
                     continue
                 last_grant = time.monotonic()
                 chunks_done += 1
@@ -448,6 +552,28 @@ def run_runner(address, name=None, poll_s=0.5, reconnect=True,
         finally:
             if channel is not None:
                 channel.close()
+
+
+#: :func:`_lease`'s answer when the master said ``bye``.
+_BYE = object()
+
+
+def _lease(channel, runner_id, wait_s):
+    """One held ``runner_lease`` round trip, with its three outcomes:
+    the expected reply (a work payload, ``None`` for an empty lease,
+    or :data:`_BYE`); an unexpected reply, raised as
+    :class:`~repro.serve.protocol.ServeError`; or a transport error or
+    timeout, raised by the channel."""
+    reply = channel.call("runner_lease",
+                         {"runner": runner_id, "wait_s": wait_s})
+    if isinstance(reply, dict) and "work" in reply:
+        work = reply["work"]
+        if work is None:
+            return _BYE if reply.get("bye") is True else None
+        if isinstance(work, dict):
+            return work
+    raise ServeError("bad_reply",
+                     f"unexpected runner_lease reply: {reply!r}")
 
 
 def _evaluate_lease(channel, runner_id, worker_id, work,

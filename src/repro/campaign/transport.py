@@ -13,7 +13,9 @@ the pending work to :func:`drive_campaign`, together with the
   that came back, and release the leases of any worker that died;
 * a :class:`~repro.campaign.remote.RunnerHub`, whose remote ``repro
   runner`` processes lease and report from their connection threads
-  while the loop drains what they folded.
+  while the loop drains what they folded.  With no local source the
+  loop waits on the hub's change condition, so a row folds the moment
+  it lands.
 
 Every source leases from the same
 :class:`~repro.campaign.sched.ChunkScheduler`, and every lost owner
@@ -40,7 +42,8 @@ from repro.obs.events import event_log
 
 __all__ = ["ExecutionPlan", "drive_campaign", "effective_lease_timeout"]
 
-#: Seconds the loop waits for rows per iteration.
+#: Longest the loop waits for rows per iteration: expiry, loss and
+#: live-status checks run at least this often.
 POLL_S = 0.05
 #: Seconds between runner-health publications to the live status.
 STATUS_INTERVAL_S = 1.0
@@ -113,7 +116,8 @@ def drive_campaign(plan, local, hub=None):
         width += hub.active_count()
     sched = ChunkScheduler(plan.pending, chunk_size=plan.chunk_size,
                            sources=width, batch_lanes=plan.batch_lanes)
-    drive = Drive(sched, plan.campaign_name, plan.timeout_s)
+    drive = Drive(sched, plan.campaign_name, plan.timeout_s,
+                  on_requeue=None if hub is None else hub.poke)
     if hub is not None:
         sched.lease_timeout_s = effective_lease_timeout(
             hub.lease_timeout_s, plan.timeout_s, sched.widest_unit)
@@ -125,6 +129,8 @@ def drive_campaign(plan, local, hub=None):
     next_status = 0.0
     try:
         while True:
+            if hub is not None:
+                seen = hub.changes  # before the drain: no row slips by
             if plan.abort is not None and plan.abort():
                 raise CampaignAborted("abort requested")
             plan.deliver(drive.drain())
@@ -151,7 +157,7 @@ def drive_campaign(plan, local, hub=None):
             if fleet_lost_at is not None and now - fleet_lost_at >= grace:
                 plan.deliver(drive.fail_lost())
                 break
-            time.sleep(POLL_S)
+            hub.wait_change(seen, POLL_S)
     except CampaignAborted:
         plan.deliver(drive.drain())
         raise CampaignAborted(

@@ -240,6 +240,7 @@ def _run_spec(spec, args, prog):
             print(f"{prog}: only {active} of {args.min_runners} "
                   f"runner(s) registered within {args.runner_wait:.0f}s",
                   file=sys.stderr)
+            hub.close()
             listener.stop()
             return None
 
@@ -257,6 +258,7 @@ def _run_spec(spec, args, prog):
                 batch=args.batch, hub=hub)
     finally:
         if listener is not None:
+            hub.close()  # runners hear `bye` before the port closes
             listener.stop()
 
 
@@ -1299,7 +1301,8 @@ def build_parser():
                                     "and runner status (default "
                                     "runner-<id>)")
     runner_parser.add_argument("--poll", type=float, default=0.5,
-                               help="idle seconds between empty leases")
+                               help="longest the master holds an empty "
+                                    "lease (seconds)")
     runner_parser.add_argument("--retry", type=float, default=30.0,
                                help="seconds of continuous connection "
                                     "failure before giving up")

@@ -344,6 +344,7 @@ def _bench_batch_kernel(workload, instructions, seed, lanes=64, reps=3,
         os.environ["REPRO_NO_SEGMEMO"] = "0"
         run_inject_point(grid(1, 0)[0], "bench-batch")
         run_inject_batch(grid(lanes, 1000), "bench-batch")
+        warmed = dict(_PROGRAM_CACHE)
         trial = 2000
         for _ in range(reps):
             os.environ["REPRO_NO_SEGMEMO"] = "1"
@@ -353,6 +354,10 @@ def _bench_batch_kernel(workload, instructions, seed, lanes=64, reps=3,
                 run_inject_point(point, "bench-batch")
             scalar.append(scalar_points / (time.perf_counter() - t0))
             trial += scalar_points
+            # The memo-off loop rebuilt the program per point; put the
+            # warmed one (and so its segment memo) back.
+            _PROGRAM_CACHE.clear()
+            _PROGRAM_CACHE.update(warmed)
             os.environ["REPRO_NO_SEGMEMO"] = "0"
             t0 = time.perf_counter()
             for point in grid(scalar_points, trial):

@@ -190,6 +190,7 @@ class Master:
         for thread in self._threads:
             thread.join(timeout=30.0)
         self._threads = []
+        self.hub.close()  # runners hear `bye` before the ports close
         for server in (self.server, self.runner_server):
             if server is not None:
                 server.stop()

@@ -163,7 +163,12 @@ METHOD_PARAMS = {
         "pid": (False, "int", True),
         "slots": (False, "int", True),
     },
-    "runner_lease": {"runner": (True, "int", False)},
+    # ``wait_s``: hold an empty lease up to this long (long polling);
+    # omitted, the master answers at once.
+    "runner_lease": {
+        "runner": (True, "int", False),
+        "wait_s": (False, "number", True),
+    },
     "runner_row": {
         "runner": (True, "int", False),
         "chunk": (True, "int", False),

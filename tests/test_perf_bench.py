@@ -264,3 +264,28 @@ def test_run_bench_kernel_consistency_guard():
     assert kernels["fast_meek_s"] > 0 and kernels["slow_meek_s"] > 0
     assert kernels["meek_speedup"] == (kernels["slow_meek_s"]
                                        / kernels["fast_meek_s"])
+
+
+def test_batch_kernel_bench_times_warm_memo_batches(monkeypatch):
+    """Every timed batched rep runs on the memo the warm-up batch
+    built: the memo-off scalar loop between them must not discard
+    the warmed program, so each timed batch counts memo hits."""
+    from repro.campaign import tasks
+    from repro.obs.metrics import get_registry
+    from repro.perf.bench import _bench_batch_kernel
+
+    hits = []
+    real = tasks.run_inject_batch
+
+    def counted(points, campaign_name):
+        counter = get_registry().counter("segmemo.hit")
+        before = counter.value
+        outcome = real(points, campaign_name)
+        hits.append(counter.value - before)
+        return outcome
+    monkeypatch.setattr(tasks, "run_inject_batch", counted)
+    tasks._PROGRAM_CACHE.clear()
+    _bench_batch_kernel("swaptions", 8_000, 0, lanes=8, reps=2,
+                        scalar_points=2)
+    assert len(hits) == 3  # the warm-up batch, then one per rep
+    assert all(count > 0 for count in hits[1:]), hits

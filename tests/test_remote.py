@@ -34,10 +34,14 @@ from repro.analysis.coverage import coverage_path_for
 from repro.campaign import (CampaignPoint, CampaignSpec, ResultStore,
                             run_campaign, task)
 from repro.campaign.executor import CampaignAborted
+from repro.campaign import transport
 from repro.campaign.pool import WorkerPool
-from repro.campaign.remote import (RunnerHub, parse_address,
-                                   run_runner, serve_runners)
+from repro.campaign.remote import (Drive, RunnerHub, handle_runner_method,
+                                   parse_address, run_runner,
+                                   serve_runners)
+from repro.campaign.sched import ChunkScheduler
 from repro.obs.live import attach_live
+from repro.serve.protocol import ServeError
 
 SMALL = 1500
 
@@ -121,6 +125,19 @@ def _runner_main(address, name, kwargs, outcome):
         outcome["error"] = exc  # listener teardown; expected
 
 
+def _subprocess_env():
+    """The environment a ``repro`` subprocess needs to import this
+    checkout's package."""
+    import repro
+
+    src_dir = os.path.dirname(os.path.dirname(
+        os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (src_dir + os.pathsep + env["PYTHONPATH"]
+                         if env.get("PYTHONPATH") else src_dir)
+    return env
+
+
 @contextlib.contextmanager
 def thread_fleet(count, hub=None, **runner_kwargs):
     """``count`` in-process runners speaking real TCP to a listener."""
@@ -167,6 +184,185 @@ class TestParseAddress:
                                                 None)
         # A path with a colon but no numeric port is still a path.
         assert parse_address("/tmp/a:b")[0] == "unix"
+
+
+# -- long-poll leases --------------------------------------------------------
+
+
+def _holding(hub):
+    """Patch ``hub.wait_change`` to report, through the returned
+    event, that a caller on another thread is waiting on the hub."""
+    entered = threading.Event()
+    real = hub.wait_change
+
+    def wait_change(since, timeout_s):
+        if threading.current_thread() is not threading.main_thread():
+            entered.set()
+        return real(since, timeout_s)
+    hub.wait_change = wait_change
+    return entered
+
+
+def _in_thread(target, *args):
+    outcome = {}
+
+    def main():
+        outcome["value"] = target(*args)
+    thread = threading.Thread(target=main, daemon=True)
+    thread.start()
+    return thread, outcome
+
+
+class TestLongPoll:
+    def test_held_lease_returns_work_soon_after_attach(self):
+        hub = RunnerHub()
+        runner = hub.register(object(), name="held")
+        entered = _holding(hub)
+        thread, outcome = _in_thread(hub.lease, runner, 5.0)
+        assert entered.wait(10.0), "the lease never held"
+        pairs = list(enumerate(echo_spec(n=2).points))
+        start = time.monotonic()
+        hub.attach(Drive(ChunkScheduler(pairs), "held"))
+        thread.join(10.0)
+        waited = time.monotonic() - start
+        assert outcome["value"] is not None
+        assert outcome["value"]["points"][0][0] == 0
+        assert waited < 1.0
+
+    def test_closed_hub_answers_held_lease_with_bye(self):
+        hub = RunnerHub()
+        runner = hub.register(object(), name="bye")
+        entered = _holding(hub)
+        params = {"runner": runner, "wait_s": 30.0}
+        thread, outcome = _in_thread(handle_runner_method, hub, None,
+                                     "runner_lease", params)
+        assert entered.wait(10.0), "the lease never held"
+        start = time.monotonic()
+        hub.close(timeout_s=30.0)  # returns once the runner was told
+        thread.join(10.0)
+        assert time.monotonic() - start < 1.0
+        assert outcome["value"] == {"work": None, "bye": True}
+        # Later leases say bye at once, held or not.
+        assert handle_runner_method(hub, None, "runner_lease", params) \
+            == {"work": None, "bye": True}
+
+    def test_held_leases_under_thread_stress(self):
+        """Six holders on a short switch interval: every unit is leased
+        exactly once, and closing the hub frees every holder at once
+        (a lost wake-up would leave one holding for its 30 s)."""
+        hub = RunnerHub()
+        pairs = list(enumerate(echo_spec(n=48).points))
+        leased = []
+        all_leased = threading.Event()
+
+        def holder(runner):
+            while True:
+                work = hub.lease(runner, 30.0)
+                if work is None:
+                    return
+                leased.append(work["chunk"])
+                if len(leased) == len(pairs):
+                    all_leased.set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(
+                target=holder, args=(hub.register(object()),),
+                daemon=True) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            hub.attach(Drive(ChunkScheduler(pairs, chunk_size=1),
+                             "stress"))
+            assert all_leased.wait(20.0), len(leased)
+            hub.close(timeout_s=0.0)
+            for thread in threads:
+                thread.join(5.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(leased) == list(range(len(pairs)))
+
+    @pytest.mark.parametrize("reply, expected", [
+        ({"work": None, "bye": True}, "bye"),
+        ({"work": None}, None),
+        ({"work": {"chunk": 0}}, {"chunk": 0}),
+        ({"job": None}, ServeError),         # unexpected replies
+        ({"work": [1]}, ServeError),
+        ("work", ServeError),
+    ])
+    def test_lease_reply_outcomes(self, reply, expected):
+        from repro.campaign import remote
+
+        class Channel:
+            def call(self, method, params):
+                assert method == "runner_lease"
+                assert params == {"runner": 3, "wait_s": 0.5}
+                return reply
+        if expected is ServeError:
+            with pytest.raises(ServeError, match="bad_reply"):
+                remote._lease(Channel(), 3, 0.5)
+            return
+        work = remote._lease(Channel(), 3, 0.5)
+        assert (work is remote._BYE) if expected == "bye" \
+            else work == expected
+
+    def test_runner_only_drive_folds_rows_without_a_nap(
+            self, tmp_path, monkeypatch):
+        """Every wait of the drive loop ends on a hub change — the
+        last row included — never on its ``POLL_S`` bound, which is
+        set far beyond the test's length."""
+        monkeypatch.setattr(transport, "POLL_S", 30.0)
+        spec = echo_spec(name="rem-wake", n=6)
+        serial_path, _ = run_to_store(spec, tmp_path, "serial")
+        hub = RunnerHub()
+        woken = []
+        real = hub.wait_change
+
+        def wait_change(since, timeout_s):
+            changed = real(since, timeout_s)
+            if threading.current_thread() is threading.main_thread():
+                woken.append(changed)
+            return changed
+        hub.wait_change = wait_change
+        with thread_fleet(1, hub=hub, poll_s=0.5):
+            path, result = run_to_store(spec, tmp_path, "wake",
+                                        chunk_size=2, batch=1, hub=hub)
+        assert result.all_ok
+        assert rows_of(path) == rows_of(serial_path)
+        assert woken and all(woken), woken
+
+    def test_runner_exits_zero_when_its_master_finishes(self, tmp_path):
+        """No ``--idle-exit``: the finishing ``campaign --runners``
+        master says bye, and the runner leaves at once with exit 0."""
+        env = _subprocess_env()
+        master = subprocess.Popen(
+            [sys.executable, "-m", "repro", "campaign", "--task",
+             "inject", "--workloads", "dedup", "--seeds", "0",
+             "--trials", "2", "--instructions", str(SMALL), "--rate",
+             "0.05", "--jobs", "1", "--runners", "127.0.0.1:0",
+             "--min-runners", "1", "--runner-wait", "60",
+             "--out", str(tmp_path / "bye.jsonl")],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True)
+        runner = None
+        try:
+            banner = master.stderr.readline()
+            assert "accepting runners on " in banner, banner
+            address = banner.split("accepting runners on ")[1].split()[0]
+            runner = subprocess.Popen(
+                [sys.executable, "-m", "repro", "runner", "--connect",
+                 address, "--name", "bye"],
+                env=env, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL)
+            assert master.wait(timeout=120.0) == 0, master.stderr.read()
+            assert runner.wait(timeout=2.0) == 0
+        finally:
+            for proc in (master, runner):
+                if proc is not None and proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+            master.stderr.close()
+        assert len(rows_of(str(tmp_path / "bye.jsonl"))) == 2
 
 
 # -- byte-identity battery --------------------------------------------------
@@ -550,16 +746,10 @@ class TestLoss:
         runner`` subprocesses over loopback TCP, one SIGKILLed while
         the campaign runs; the survivor re-runs the lost lease and the
         store matches the serial reference byte-for-byte."""
-        import repro
-
         spec = inject_spec(name="rem-kill", trials=8)
         serial_path, serial = run_to_store(spec, tmp_path, "serial")
         assert serial.all_ok
-        src_dir = os.path.dirname(os.path.dirname(
-            os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (src_dir + os.pathsep + env["PYTHONPATH"]
-                             if env.get("PYTHONPATH") else src_dir)
+        env = _subprocess_env()
         hub = RunnerHub()
         listener = serve_runners(hub, "127.0.0.1:0")
         procs = [subprocess.Popen(
@@ -601,13 +791,7 @@ def subprocess_runners(count):
     """``count`` genuine ``repro runner`` processes on a loopback
     listener (a thread cannot be SIGKILLed); yields the hub and the
     processes."""
-    import repro
-
-    src_dir = os.path.dirname(os.path.dirname(
-        os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (src_dir + os.pathsep + env["PYTHONPATH"]
-                         if env.get("PYTHONPATH") else src_dir)
+    env = _subprocess_env()
     hub = RunnerHub()
     listener = serve_runners(hub, "127.0.0.1:0")
     procs = [subprocess.Popen(

@@ -836,3 +836,43 @@ class TestNoProcessOutlives:
                         runner.wait()
         assert runner.returncode is not None
         self.assert_no_new_children(before)
+
+    def test_serve_stop_leaves_no_runner_or_master(self, state_dir):
+        """``serve --stop`` says bye to the runners on both ports: the
+        master and both runners (no ``--idle-exit``) exit 0 on their
+        own, and nothing is left to reap."""
+        before = child_pids()
+        env = dict(os.environ, PYTHONPATH="src")
+        cwd = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+        def repro(*args):
+            return subprocess.Popen(
+                [sys.executable, "-m", "repro", *args], env=env, cwd=cwd,
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        procs = [repro("serve", "--runners", "127.0.0.1:0",
+                       "--state-dir", state_dir)]
+        try:
+            contact = wait_for(lambda: read_contact(state_dir),
+                               timeout=60.0, message="master contact")
+            procs += [repro("runner", "--connect", contact["runners"],
+                            "--name", "tcp"),
+                      repro("runner", "--connect", contact["socket"],
+                            "--name", "unix")]
+            with ServeClient(contact["socket"], timeout=30.0) as client:
+                wait_for(lambda: {r["name"] for r in
+                                  client.hello()["runners"]
+                                  if r["alive"]} >= {"tcp", "unix"},
+                         timeout=60.0, message="both runners")
+            stop = subprocess.run(
+                [sys.executable, "-m", "repro", "serve", "--stop",
+                 "--state-dir", state_dir], env=env, cwd=cwd,
+                capture_output=True, timeout=60.0)
+            assert stop.returncode == 0, stop.stderr
+            assert [proc.wait(timeout=10.0) for proc in procs] \
+                == [0, 0, 0]
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        self.assert_no_new_children(before)

@@ -54,7 +54,7 @@ VALID_REQUESTS = {
     "subscribe": {"rid": 4},
     "shutdown": {},
     "runner_register": {"name": "node3", "pid": 4242, "slots": 1},
-    "runner_lease": {"runner": 1},
+    "runner_lease": {"runner": 1, "wait_s": 0.5},
     "runner_row": {"runner": 1, "chunk": 0, "epoch": 2,
                    "row": {"point_id": "p", "index": 0, "ok": True}},
     "runner_heartbeat": {"runner": 1},
@@ -194,6 +194,16 @@ class TestAdversarialParsing:
     def test_submit_param_violations(self, params):
         with pytest.raises(ProtocolError) as err:
             parse_request({"id": 1, "method": "submit", "params": params})
+        assert err.value.code == protocol.E_BAD_PARAMS
+
+    @pytest.mark.parametrize("params", [
+        {"runner": 1, "wait_s": "0.5"},   # wait_s must be a number
+        {"runner": 1, "wait_s": True},
+    ])
+    def test_runner_lease_param_violations(self, params):
+        with pytest.raises(ProtocolError) as err:
+            parse_request({"id": 1, "method": "runner_lease",
+                           "params": params})
         assert err.value.code == protocol.E_BAD_PARAMS
 
     def test_submit_nullable_params_accept_null(self):
